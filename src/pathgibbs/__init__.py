@@ -58,8 +58,6 @@ from .sampler import (
     Pinned,
     Smeared,
     brute_force_measure,
-    gibbs_chain,
-    pinned_chain,
     run_ensemble,
     window_conditional_exact,
 )
@@ -74,7 +72,6 @@ from .diagnostics import (
     window_convergence_exact,
     window_convergence_mc,
 )
-from .cli import main as cli_main
 
 __all__ = [
     "Path",
@@ -118,8 +115,6 @@ __all__ = [
     "Pinned",
     "Smeared",
     "brute_force_measure",
-    "gibbs_chain",
-    "pinned_chain",
     "run_ensemble",
     "window_conditional_exact",
     "hitting_time_moment",
@@ -131,7 +126,6 @@ __all__ = [
     "tightness_profile",
     "window_convergence_exact",
     "window_convergence_mc",
-    "cli_main",
 ]
 
 __version__ = "0.1.0"

@@ -151,19 +151,26 @@ class PairPotential:
         t = np.asarray(t, dtype=float)
         if np.any(t < 0):
             raise ValueError("pair potential needs t >= 0")
-        if self.kind == "zero":
-            out = np.zeros(np.broadcast(x, y, t).shape)
-        elif self.kind == "constant":
-            out = np.full(np.broadcast(x, y, t).shape, self.value)
-        elif self.kind == "nelson":
-            out = -self.coupling / ((x - y) ** 2 + t * t + 1.0)
-        elif self.kind == "step":
-            out = np.where(np.abs(x - y) <= 2.0 * t, -self.coupling / (t * t + 1.0), 0.0)
-        elif self.kind == "table":
-            out = self._table_eval(np.abs(x - y), t)
-        else:
-            raise ValueError(f"unknown pair potential kind {self.kind!r}")
+        out = self.radial(np.abs(x - y), t)
         return float(out) if out.ndim == 0 else out
+
+    def radial(self, u, t):
+        """W as a function of u = |x - y| and t (every catalog kind is radial).
+
+        Unchecked: the caller guarantees u >= 0 and t >= 0.  This is the
+        form the sampler's hot path and the enumeration oracle call.
+        """
+        if self.kind == "zero":
+            return np.zeros(np.broadcast(u, t).shape)
+        if self.kind == "constant":
+            return np.full(np.broadcast(u, t).shape, self.value)
+        if self.kind == "nelson":
+            return -self.coupling / (u ** 2 + t * t + 1.0)
+        if self.kind == "step":
+            return np.where(u <= 2.0 * t, -self.coupling / (t * t + 1.0), 0.0)
+        if self.kind == "table":
+            return self._table_eval(u, t)
+        raise ValueError(f"unknown pair potential kind {self.kind!r}")
 
     def _table_eval(self, u, t):
         u = np.clip(u, self.table_u[0], self.table_u[-1])

@@ -19,10 +19,10 @@ import warnings
 import numpy as np
 from scipy.special import logsumexp
 
-from .grids import SpaceGrid, TimeGrid, Path
+from .grids import SpaceGrid, TimeGrid
 from .potentials import PairPotential
-from .spectral import GroundState, HeatKernel, ground_state, heat_kernel, build_hamiltonian
-from .reference import make_rng, stationary_weights, sample_paths, sample_bridge
+from .spectral import GroundState, HeatKernel, ground_state, heat_kernel
+from .reference import make_rng, sample_paths, sample_bridge
 from .energy import SquareRegion, FrameRegion
 
 
@@ -97,19 +97,6 @@ class ChainConfig:
 
 
 @dataclass
-class ChainState:
-    """Snapshot of a single chain after a sweep."""
-
-    path: Path
-    sweep: int
-    accepted_single: int
-    proposed_single: int
-    accepted_block: int
-    proposed_block: int
-    rng: np.random.Generator
-
-
-@dataclass
 class EnsembleResult:
     """Recorded positions of a batch of chains, one row per recorded sweep."""
 
@@ -136,25 +123,37 @@ class EnsembleResult:
 
 
 def _sample_categorical_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One draw per row of an unnormalized probability matrix."""
+    """One draw per row of an unnormalized probability matrix.
+
+    The draw is the first column whose cumulative mass reaches u * total;
+    u < 1, so the last column always qualifies and `argmax` finds it.
+    """
     cdf = np.cumsum(probs, axis=1)
     total = cdf[:, -1]
-    if np.any(total <= 0.0):
+    if (total <= 0.0).any():
         raise ValueError("proposal distribution has zero mass; "
                          "anchors are too far apart for this time step")
-    draws = u * total
-    idx = np.sum(cdf < draws[:, None], axis=1)
-    return np.minimum(idx, probs.shape[1] - 1)
+    return np.argmax(cdf >= (u * total)[:, None], axis=1)
+
+
+def _check_lags(lags: np.ndarray) -> None:
+    if np.any(lags < 0):
+        raise ValueError("pair potential needs t >= 0")
 
 
 def interaction_action(w: PairPotential, positions: np.ndarray,
                        mask: np.ndarray, lags: np.ndarray) -> np.ndarray:
-    """H = -sum_ij mask_ij W(x_i, x_j, |t_i - t_j|) for a batch of paths."""
-    positions = np.atleast_2d(positions)
-    live = np.flatnonzero(np.any(mask != 0.0, axis=1) | np.any(mask != 0.0, axis=0))
-    sub = np.ix_(live, live)
-    vals = w.evaluate(positions[:, live, None], positions[:, None, live], lags[sub])
-    return -np.einsum("cij,ij->c", np.atleast_3d(vals), mask[sub])
+    """H = -sum_ij mask_ij W(|x_i - x_j|, |t_i - t_j|) for a batch of paths.
+
+    W is radial, so each unordered pair i < j is evaluated once with weight
+    mask_ij + mask_ji, and the diagonal adds W(0, 0) * trace(mask).
+    """
+    _check_lags(lags)
+    x = np.ascontiguousarray(np.atleast_2d(positions).T)   # one row per time slice
+    sym = mask + mask.T
+    i, j = np.nonzero(np.triu(sym, k=1))
+    vals = w.radial(np.abs(x[i] - x[j]), lags[i, j][:, None])
+    return -(sym[i, j] @ vals + float(w.radial(0.0, 0.0)) * np.trace(mask))
 
 
 class _Engine:
@@ -163,6 +162,12 @@ class _Engine:
     `frozen` marks time indices that never move (pinned endpoints, or the
     exterior of a conditioning window); `mask` is the quadrature weight
     matrix of the interaction region (the full square by default).
+
+    Each chain carries its node indices (`nodes`, the grid cell of every
+    position) next to its positions, so proposals gather kernel rows
+    directly.  W is radial, so a move's interaction change is one
+    `radial` call per state (old and new) against the symmetric weights
+    `sym_w`; the diagonal W(0, 0) terms never change and drop out.
     """
 
     def __init__(self, spec: GibbsSpec, config: ChainConfig, init: np.ndarray,
@@ -176,6 +181,7 @@ class _Engine:
         tg = spec.timegrid
         self.n_t = tg.n_times
         self.lags = np.abs(tg.times[:, None] - tg.times[None, :])
+        _check_lags(self.lags)
         self.mask = SquareRegion(tg.T).weights(tg) if mask is None else np.asarray(mask)
         if frozen is None:
             frozen = np.zeros(self.n_t, dtype=bool)
@@ -185,13 +191,14 @@ class _Engine:
         self.free = np.flatnonzero(~frozen)
         if self.free.size == 0:
             raise ValueError("no free time indices to update")
-        # off-diagonal weights, read as rows (first slot) or columns (second)
-        self.offdiag_w = self.mask.copy()
-        np.fill_diagonal(self.offdiag_w, 0.0)
-        self.diag_w = np.diag(self.mask).copy()
+        # weight of each unordered pair i != j; the diagonal W(0, 0) terms never change
+        offdiag = self.mask.copy()
+        np.fill_diagonal(offdiag, 0.0)
+        self.sym_w = offdiag + offdiag.T
         self.pos = np.array(init, dtype=float, copy=True)
         if self.pos.shape != (config.n_chains, self.n_t):
             raise ValueError("initial positions have the wrong shape")
+        self.nodes = self.grid.nearest_index(self.pos)
         self.rng = make_rng(config.seed, 11)
         self.block_len = config.block_len
         self._kpow = {1: self.k}
@@ -215,9 +222,6 @@ class _Engine:
             self._kpow[p] = self.spec.kernel.power(p)
         return self._kpow[p]
 
-    def _cells(self, values: np.ndarray) -> np.ndarray:
-        return self.grid.nearest_index(values)
-
     def _emit(self, nodes: np.ndarray) -> np.ndarray:
         z = self.grid.x[nodes]
         if self.mode == "interp":
@@ -226,51 +230,35 @@ class _Engine:
         return z
 
     def _site_proposal_probs(self, i: int) -> np.ndarray:
-        if i > 0:
-            left = self.k[self._cells(self.pos[:, i - 1])]
-        if i < self.n_t - 1:
-            right = self.k[self._cells(self.pos[:, i + 1])]
         if i == 0:
-            return self.psi[None, :] * right
+            return self.psi[None, :] * self.k[self.nodes[:, 1]]
+        left = self.k[self.nodes[:, i - 1]]
         if i == self.n_t - 1:
             return left * self.psi[None, :]
-        return left * right
+        return left * self.k[self.nodes[:, i + 1]]
 
     def _delta_h_single(self, i: int, z: np.ndarray) -> np.ndarray:
-        xi = self.pos[:, i]
-        lag = self.lags[i][None, :]
-        d_row = (self.w.evaluate(z[:, None], self.pos, lag)
-                 - self.w.evaluate(xi[:, None], self.pos, lag)) @ self.offdiag_w[i]
-        d_col = (self.w.evaluate(self.pos, z[:, None], lag)
-                 - self.w.evaluate(self.pos, xi[:, None], lag)) @ self.offdiag_w[:, i]
-        d_diag = self.diag_w[i] * (self.w.evaluate(z, z, 0.0)
-                                   - self.w.evaluate(xi, xi, 0.0))
-        return -(d_row + d_col + d_diag)
+        lag = self.lags[i]
+        d = (self.w.radial(np.abs(z[:, None] - self.pos), lag)
+             - self.w.radial(np.abs(self.pos[:, i, None] - self.pos), lag))
+        return -(d @ self.sym_w[i])
 
-    def _touching_part(self, pos: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Interaction sum over pairs with at least one index in [lo, hi).
+    def _block_part(self, pos: np.ndarray, s: int, length: int) -> np.ndarray:
+        """Interaction sum over pairs with at least one index in the block.
 
-        Rows inside the block are summed over every column, so block-block
-        pairs are counted there; column sums are restricted to rows outside
-        the block to avoid counting those pairs twice.
+        Block-block pairs appear twice in the (chains, length, n_t) slab,
+        so they carry half their symmetric weight.
         """
-        n_c = pos.shape[0]
-        out = np.zeros(n_c)
-        outside = np.ones(self.n_t, dtype=bool)
-        outside[lo:hi] = False
-        for i in range(lo, hi):
-            lag = self.lags[i][None, :]
-            out += self.w.evaluate(pos[:, i, None], pos, lag) @ self.offdiag_w[i]
-            out += (self.w.evaluate(pos, pos[:, i, None], lag)
-                    @ (self.offdiag_w[:, i] * outside))
-            out += self.diag_w[i] * self.w.evaluate(pos[:, i], pos[:, i], 0.0)
-        return out
+        weights = self.sym_w[s:s + length].copy()
+        weights[:, s:s + length] *= 0.5
+        u = np.abs(pos[:, s:s + length, None] - pos[:, None, :])
+        vals = self.w.radial(u, self.lags[s:s + length])
+        return np.einsum("clj,lj->c", vals, weights)
 
     def _delta_h_block(self, s: int, length: int, znew: np.ndarray) -> np.ndarray:
         pos_new = self.pos.copy()
         pos_new[:, s:s + length] = znew
-        return -(self._touching_part(pos_new, s, s + length)
-                 - self._touching_part(self.pos, s, s + length))
+        return -(self._block_part(pos_new, s, length) - self._block_part(self.pos, s, length))
 
     def _site_move(self, i: int):
         n_c = self.pos.shape[0]
@@ -280,6 +268,7 @@ class _Engine:
         dh = self._delta_h_single(i, z)
         accept = np.log(self.rng.random(n_c)) < dh
         self.pos[accept, i] = z[accept]
+        self.nodes[accept, i] = nodes[accept]
         self.proposed_single += n_c
         self.accepted_single += int(accept.sum())
 
@@ -289,10 +278,9 @@ class _Engine:
         n_c = self.pos.shape[0]
         length = self.block_len
         s = int(self._block_starts[self.rng.integers(self._block_starts.size)])
-        a = self._cells(self.pos[:, s - 1])
-        b = self._cells(self.pos[:, s + length])
-        nodes = np.empty((n_c, length), dtype=np.int64)
-        cur = a
+        b = self.nodes[:, s + length]
+        nodes = np.empty((n_c, length), dtype=self.nodes.dtype)
+        cur = self.nodes[:, s - 1]
         for k in range(length):
             back = self._power(length - k)
             probs = self.k[cur] * back[b]
@@ -302,6 +290,7 @@ class _Engine:
         dh = self._delta_h_block(s, length, znew)
         accept = np.log(self.rng.random(n_c)) < dh
         self.pos[accept, s:s + length] = znew[accept]
+        self.nodes[accept, s:s + length] = nodes[accept]
         self.proposed_block += n_c
         self.accepted_block += int(accept.sum())
 
@@ -369,28 +358,6 @@ def run_ensemble(spec: GibbsSpec, config: ChainConfig,
     """Run a batch of chains and record positions at the given time indices."""
     engine = _Engine(spec, config, _initial_positions(spec, config))
     return _run_engine(engine, spec, config, record_indices)
-
-
-def gibbs_chain(spec: GibbsSpec, config: ChainConfig):
-    """Single-chain sweep stream; yields a ChainState after every sweep."""
-    cfg = ChainConfig(config.sweeps, config.burnin, config.block_len, config.seed,
-                      1, config.mode, config.record_every)
-    engine = _Engine(spec, cfg, _initial_positions(spec, cfg))
-    for _ in range(cfg.burnin):
-        engine.sweep()
-    engine.warn_if_stuck()
-    for sweep in range(cfg.sweeps):
-        engine.sweep()
-        yield ChainState(Path(spec.timegrid, engine.pos[0].copy()), sweep + 1,
-                         engine.accepted_single, engine.proposed_single,
-                         engine.accepted_block, engine.proposed_block, engine.rng)
-
-
-def pinned_chain(spec: GibbsSpec, config: ChainConfig):
-    """Chain stream for a pinned spec (endpoints frozen)."""
-    if not isinstance(spec.boundary, Pinned):
-        raise ValueError("pinned_chain needs a spec with Pinned boundary")
-    return gibbs_chain(spec, config)
 
 
 def empirical_node_marginals(result: EnsembleResult, grid: SpaceGrid) -> np.ndarray:
@@ -476,10 +443,13 @@ class BruteForceTable:
 
 
 def _enumerated_columns(m: int, count: int) -> np.ndarray:
-    n_cfg = m ** count
-    idx = np.arange(n_cfg)
-    cols = [(idx // m ** (count - 1 - k)) % m for k in range(count)]
-    return np.stack(cols, axis=1).astype(np.int8)
+    """All m**count node configurations of `count` sites, in lexicographic order."""
+    out = np.empty((m,) * count + (count,), dtype=np.int8)
+    for k in range(count):
+        axis = [1] * count
+        axis[k] = m
+        out[..., k] = np.arange(m, dtype=np.int8).reshape(axis)
+    return out.reshape(-1, count)
 
 
 def brute_force_measure(spec: GibbsSpec) -> BruteForceTable:
@@ -516,11 +486,11 @@ def brute_force_measure(spec: GibbsSpec) -> BruteForceTable:
 
     lags = np.abs(tg.times[:, None] - tg.times[None, :])
     mask = SquareRegion(tg.T).weights(tg)
-    x = grid.x[configs]
     h_vals = np.empty(configs.shape[0])
-    chunk = 200_000
+    chunk = 2 ** 15   # keeps the per-chunk pair arrays cache-sized
     for lo in range(0, configs.shape[0], chunk):
-        h_vals[lo:lo + chunk] = interaction_action(spec.w, x[lo:lo + chunk], mask, lags)
+        h_vals[lo:lo + chunk] = interaction_action(spec.w, grid.x[configs[lo:lo + chunk]],
+                                                   mask, lags)
 
     log_weights = log_ref + h_vals
     ref_log_mass = float(logsumexp(log_ref))

@@ -1,8 +1,14 @@
 """CLI pipelines: config validation, determinism, strict exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import pathgibbs
 
 from pathgibbs.cli import main, validate_config, ConfigError, DEFAULTS
 
@@ -252,3 +258,14 @@ def test_config_embedded_in_every_output(tmp_path):
     first = (out / "ground_state.csv").read_text().splitlines()[0]
     embedded = json.loads(first[len("# config="):])
     assert embedded["grid"]["points"] == 801
+
+
+def test_module_entry_point_imports_without_runtime_warning():
+    # `python -m pathgibbs.cli` warns if the package has already imported cli
+    src = str(Path(pathgibbs.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "pathgibbs.cli",
+                           "--help"], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage" in proc.stdout

@@ -109,6 +109,26 @@ def test_envelope_dominates_step(x, y, t):
     assert abs(w.evaluate(x, y, t)) <= w.envelope(t) + 1e-15
 
 
+RADIAL_CATALOG = [
+    zero_pair(),
+    constant_pair(0.3),
+    nelson_pair(0.7),
+    step_pair(1.3),
+    pair_from_table([0.0, 1.0, 4.0], [0.0, 2.0, 5.0],
+                    [[-1.0, -0.5, -0.1], [-0.6, -0.3, 0.2], [0.1, -0.2, 0.0]]),
+]
+
+
+@pytest.mark.parametrize("w", RADIAL_CATALOG, ids=lambda w: w.kind)
+@given(xs=st.lists(finite_floats, min_size=1, max_size=4), y=finite_floats, t=lag_floats)
+def test_radial_is_evaluate_bit_for_bit(w, xs, y, t):
+    xs = np.asarray(xs)
+    lags = np.full(xs.size, t)
+    for got, want in ((w.radial(np.abs(xs - y), lags), w.evaluate(xs, y, lags)),
+                      (w.radial(np.abs(xs[0] - y), t), w.evaluate(xs[0], y, t))):
+        assert np.asarray(got, dtype=float).tobytes() == np.asarray(want).tobytes()
+
+
 def test_verify_envelope_grid():
     xs = np.linspace(-4, 4, 17)
     ts = np.linspace(0, 6, 25)

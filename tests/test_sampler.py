@@ -6,17 +6,20 @@ import numpy as np
 import pytest
 
 from pathgibbs.grids import SpaceGrid, TimeGrid, Path
-from pathgibbs.potentials import harmonic, zero_pair, constant_pair, nelson_pair, step_pair
+from pathgibbs.potentials import (harmonic, zero_pair, constant_pair, nelson_pair, step_pair,
+                                  pair_from_table)
 from pathgibbs.spectral import ground_state, heat_kernel, default_grid
 from pathgibbs.reference import stationary_weights, bridge_marginal, make_rng, sample_paths
 from pathgibbs.energy import SquareRegion, interaction_energy
 from pathgibbs.stats import total_variation, ks_statistic_atomic
 from pathgibbs.sampler import (
-    Smeared, Pinned, GibbsSpec, ChainConfig, gibbs_chain, pinned_chain,
+    Smeared, Pinned, GibbsSpec, ChainConfig,
     run_ensemble, empirical_node_marginals, brute_force_measure,
     window_conditional_exact, window_conditional_chain,
     single_move_distribution, interaction_action, _enumerated_columns, _Engine,
+    _initial_positions, _run_engine,
 )
+from pathgibbs import sampler
 
 
 @functools.lru_cache(maxsize=None)
@@ -107,8 +110,15 @@ def test_brute_force_size_caps():
 # move-level exactness
 
 
-def test_quadrature_matches_energy_module():
-    spec = spec_wide(nelson_pair(0.7), T=2.0)
+# a tabulated W with nonzero W(0, 0), so the diagonal term of the quadrature counts
+TABLE_PAIR = pair_from_table([0.0, 1.0, 4.0], [0.0, 1.0, 3.0],
+                             [[-1.0, -0.6, -0.1], [-0.5, -0.4, -0.05], [0.0, -0.1, 0.0]])
+CATALOG_PAIRS = [nelson_pair(0.7), step_pair(0.9), constant_pair(0.4), TABLE_PAIR]
+
+
+@pytest.mark.parametrize("w", CATALOG_PAIRS)
+def test_quadrature_matches_energy_module(w):
+    spec = spec_wide(w, T=2.0)
     tg = spec.timegrid
     rng = make_rng(5)
     positions = rng.normal(size=tg.n_times)
@@ -119,7 +129,7 @@ def test_quadrature_matches_energy_module():
     assert abs(batched - direct) < 1e-12
 
 
-@pytest.mark.parametrize("w", [nelson_pair(0.7), step_pair(0.9)])
+@pytest.mark.parametrize("w", CATALOG_PAIRS)
 def test_incremental_site_update_matches_full_recompute(w):
     spec = spec_wide(w, T=2.0)
     cfg = ChainConfig(sweeps=1, burnin=0, seed=3, n_chains=16, mode="interp")
@@ -136,8 +146,8 @@ def test_incremental_site_update_matches_full_recompute(w):
         assert np.max(np.abs(engine._delta_h_single(i, z) - full)) < 1e-10
 
 
-def test_incremental_block_update_matches_full_recompute():
-    w = nelson_pair(0.6)
+@pytest.mark.parametrize("w", [nelson_pair(0.6)] + CATALOG_PAIRS[1:])
+def test_incremental_block_update_matches_full_recompute(w):
     spec = spec_wide(w, T=2.0)
     cfg = ChainConfig(sweeps=1, burnin=0, seed=4, n_chains=12, mode="interp")
     rng = make_rng(23)
@@ -150,6 +160,29 @@ def test_incremental_block_update_matches_full_recompute():
     full = (interaction_action(w, new, engine.mask, engine.lags)
             - interaction_action(w, engine.pos, engine.mask, engine.lags))
     assert np.max(np.abs(engine._delta_h_block(s, length, znew) - full)) < 1e-10
+
+
+def test_moves_evaluate_w_at_most_twice():
+    # one radial call per state (old and new) for a site move and a block move
+    w = nelson_pair(0.5)
+    calls = []
+    radial = w.radial
+
+    def counted(u, t):
+        calls.append(t)
+        return radial(u, t)
+    w.radial = counted
+    spec = spec_wide(w, T=2.0)
+    cfg = ChainConfig(sweeps=1, burnin=0, block_len=3, seed=6, n_chains=8, mode="interp")
+    engine = _Engine(spec, cfg, _initial_positions(spec, cfg))
+    for _ in range(3):
+        for i in engine.free:
+            calls.clear()
+            engine._site_move(i)
+            assert len(calls) <= 2
+        calls.clear()
+        engine._block_move()
+        assert 0 < len(calls) <= 2
 
 
 def test_single_move_distribution_is_a_distribution():
@@ -230,22 +263,6 @@ def test_same_seed_reproduces_chain_exactly():
     assert not np.array_equal(a.positions, other.positions)
 
 
-def test_gibbs_chain_stream_yields_states():
-    spec = spec_small(nelson_pair(0.5))
-    stream = gibbs_chain(spec, ChainConfig(sweeps=5, burnin=2, block_len=3, seed=2))
-    states = list(stream)
-    assert len(states) == 5
-    assert states[-1].sweep == 5
-    assert states[-1].proposed_single > states[0].proposed_single
-    assert states[0].path.positions.shape == (spec.timegrid.n_times,)
-
-
-def test_pinned_chain_requires_pinned_boundary():
-    spec = spec_small(zero_pair())
-    with pytest.raises(ValueError, match="Pinned"):
-        pinned_chain(spec, ChainConfig(sweeps=1))
-
-
 def test_pinned_zero_w_marginals_match_exact_bridge():
     gs, kernel = wide_model()
     iy = gs.grid.index_of(0.0)
@@ -289,6 +306,33 @@ def test_low_acceptance_emits_block_length_warning():
                       mode="interp")
     with pytest.warns(RuntimeWarning, match="block_len"):
         run_ensemble(spec, cfg)
+
+
+@pytest.mark.parametrize("mode", ["interp", "grid"])
+@pytest.mark.parametrize("case", ["smeared", "pinned", "window"])
+def test_carried_nodes_match_positions(monkeypatch, mode, case):
+    engines = []
+
+    def run_and_keep(engine, *args, **kwargs):
+        engines.append(engine)
+        return _run_engine(engine, *args, **kwargs)
+    monkeypatch.setattr(sampler, "_run_engine", run_and_keep)
+    cfg = ChainConfig(sweeps=40, burnin=10, block_len=3, seed=61, n_chains=16, mode=mode)
+    if case == "window":
+        spec = spec_wide(nelson_pair(0.5), T=2.0)
+        rng = make_rng(62)
+        outside = rng.normal(size=spec.timegrid.n_times)
+        result = window_conditional_chain(spec, 1.0, outside, cfg)
+        frozen = np.ones(spec.timegrid.n_times, dtype=bool)
+        frozen[result.record_indices] = False
+        assert np.all(engines[0].pos[:, frozen] == outside[frozen])
+    else:
+        boundary = Pinned(-0.5, 0.5) if case == "pinned" else Smeared()
+        spec = spec_wide(nelson_pair(0.5), T=2.0, boundary=boundary)
+        run_ensemble(spec, cfg)
+    engine, = engines
+    assert engine.accepted_single > 0
+    assert np.array_equal(engine.nodes, spec.grid.nearest_index(engine.pos))
 
 
 # ---------------------------------------------------------------------------
