@@ -3,9 +3,9 @@
 Layout:
     grids        space/time grids and the Path container
     potentials   catalog of site potentials V and pair potentials W
-    spectral     tridiagonal Schroedinger solve, heat kernel, kernel cache
+    spectral     tridiagonal Schroedinger solve and heat kernels
     reference    stationary reference process: densities, sampling, checks
-    energy       pair-interaction energy over regions, shifts, path doubling
+    energy       the pair quadrature over one Region type, shifts, doubling
     sampler      path-space Metropolis-within-Gibbs and exact small oracles
     diagnostics  tightness, window convergence, hitting/ratio/growth checks
     cli          command-line entry points producing JSON summaries
@@ -32,8 +32,6 @@ from .spectral import (
     ground_state,
     ground_state_radial,
     heat_kernel,
-    load_cache,
-    save_cache,
 )
 from .reference import (
     PathEnsemble,
@@ -45,6 +43,7 @@ from .reference import (
 )
 from .energy import (
     FrameRegion,
+    Region,
     SquareRegion,
     StripRegion,
     check_shift_inequality,
@@ -95,8 +94,6 @@ __all__ = [
     "ground_state",
     "ground_state_radial",
     "heat_kernel",
-    "load_cache",
-    "save_cache",
     "PathEnsemble",
     "sample_bridge",
     "sample_paths",
@@ -104,6 +101,7 @@ __all__ = [
     "transfer_matrix",
     "transition_density",
     "FrameRegion",
+    "Region",
     "SquareRegion",
     "StripRegion",
     "check_shift_inequality",

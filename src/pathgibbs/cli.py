@@ -24,12 +24,12 @@ from .potentials import (harmonic, box_zero, coulomb_3d, zero_pair, constant_pai
                          check_time_monotone, sufficient_condition_report)
 from .spectral import ground_state, ground_state_radial, heat_kernel
 from .reference import sample_paths, stationary_weights
-from .energy import SquareRegion, StripRegion, fold_path, doubled_energy, interaction_energy
+from .energy import SquareRegion, StripRegion, fold_path, doubled_energy, region_action
 from .stats import ks_statistic_atomic, total_variation
 from .sampler import (GibbsSpec, ChainConfig, Smeared, Pinned, run_ensemble,
                       brute_force_measure, window_conditional_exact,
                       empirical_node_marginals, write_snapshots_jsonl,
-                      _window_indices, MAX_ORACLE_CONFIGS)
+                      MAX_ORACLE_CONFIGS)
 from .diagnostics import (tightness_profile, window_convergence_exact,
                           window_convergence_mc, hitting_time_moment,
                           ratio_bound_check, path_growth_check, psi_tail)
@@ -392,7 +392,7 @@ def _cmd_dlr_test(cfg, out_dir):
     outside = table.configs[int(np.argmax(table.probs))].astype(np.int64)
     s_half = cfg["grid"]["s_half"]
     cond = window_conditional_exact(spec, s_half, outside)
-    ids = _window_indices(spec.timegrid, s_half)
+    ids = cond.window_indices
     brute = table.conditional_window(ids, outside).reshape(-1)
     probs = cond.probs.reshape(-1)
     tv = total_variation(probs, brute)
@@ -419,29 +419,21 @@ def _cmd_energy_check(cfg, out_dir):
     ens = sample_paths(gs, kernel, spec.timegrid, 100,
                        seed=(cfg["run"]["seed"], 51), mode="grid")
     square = SquareRegion(T)
-    fold_gap = 0.0
-    for i in range(ens.positions.shape[0]):
-        path = ens.path(i)
-        gap = abs(doubled_energy(w, fold_path(path), T)
-                  - interaction_energy(w, path, square))
-        fold_gap = max(fold_gap, gap)
+    direct = region_action(w, ens.positions, spec.timegrid, square)
+    fold_gap = float(max(abs(doubled_energy(w, fold_path(ens.path(i)), T) - direct[i])
+                         for i in range(len(ens))))
     const_value = cfg["model"]["constant"] if w.kind == "constant" else 0.3
-    const_w = constant_pair(const_value)
-    const_gap = 0.0
-    for i in range(ens.positions.shape[0]):
-        h_val = interaction_energy(const_w, ens.path(i), square)
-        const_gap = max(const_gap, abs(h_val + const_value * (2.0 * T) ** 2))
+    const_h = region_action(constant_pair(const_value), ens.positions, spec.timegrid, square)
+    const_gap = float(np.max(np.abs(const_h + const_value * (2.0 * T) ** 2)))
     budget = interaction_budget(w)
     strip = StripRegion(s_half, T)
     bound = strip.envelope_bound(w)
     violations = 0
     worst_strip = 0.0
     if math.isfinite(bound):
-        for i in range(ens.positions.shape[0]):
-            h_val = abs(interaction_energy(w, ens.path(i), strip))
-            worst_strip = max(worst_strip, h_val)
-            if h_val > bound + 1e-12:
-                violations += 1
+        strip_h = np.abs(region_action(w, ens.positions, spec.timegrid, strip))
+        worst_strip = float(strip_h.max())
+        violations = int(np.sum(strip_h > bound + 1e-12))
     summary = {
         "fold_identity_max_gap": fold_gap,
         "constant_identity_max_gap": const_gap,

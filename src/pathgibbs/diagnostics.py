@@ -24,6 +24,7 @@ from .reference import make_rng, stationary_weights, transfer_matrix, _sample_ro
 from .stats import (total_variation, integrated_autocorr_time,
                     proportion_from_indicators, upward_trend_pvalue, log_log_slope,
                     wilson_interval)
+from .energy import doubled_layout, pair_action
 from .sampler import (GibbsSpec, ChainConfig, Smeared, Pinned, run_ensemble,
                       brute_force_measure, _enumerated_columns, MAX_ORACLE_CONFIGS)
 
@@ -185,13 +186,6 @@ class WindowReport:
                    for a, b in zip(self.distances, self.distances[1:]))
 
 
-def _window_ids(tg: TimeGrid, s_half: float) -> np.ndarray:
-    k = int(round(s_half / tg.dt))
-    if abs(k * tg.dt - s_half) > 1e-9 or k > tg.n:
-        raise ValueError(f"window half-width {s_half} does not fit the time grid")
-    return np.arange(tg.n - k, tg.n + k + 1)
-
-
 def window_convergence_exact(gs: GroundState, kernel: HeatKernel, w: PairPotential,
                              t_values, s_half: float) -> WindowReport:
     """Exact TV distances between successive window laws (oracle sizes)."""
@@ -199,7 +193,7 @@ def window_convergence_exact(gs: GroundState, kernel: HeatKernel, w: PairPotenti
     for T in t_values:
         spec = GibbsSpec(gs, kernel, w, TimeGrid(T, kernel.dt), Smeared())
         table = brute_force_measure(spec)
-        ids = _window_ids(spec.timegrid, s_half)
+        ids = spec.timegrid.window_indices(s_half)
         joints.append(table.window_marginal(ids).reshape(-1))
     dists = [WindowDistance(a, b, total_variation(p, q), 0.0)
              for (a, p), (b, q) in zip(zip(t_values, joints), zip(t_values[1:], joints[1:]))]
@@ -213,7 +207,7 @@ def window_convergence_mc(gs: GroundState, kernel: HeatKernel, w: PairPotential,
     laws = []
     for T in t_values:
         spec = GibbsSpec(gs, kernel, w, TimeGrid(T, kernel.dt), Smeared())
-        ids = _window_ids(spec.timegrid, s_half)
+        ids = spec.timegrid.window_indices(s_half)
         if m ** ids.size > MAX_ORACLE_CONFIGS:
             raise ValueError("window occupancy table would exceed the size cap")
         result = run_ensemble(spec, config, record_indices=ids)
@@ -239,7 +233,7 @@ def boundary_sensitivity_exact(gs: GroundState, kernel: HeatKernel, w: PairPoten
     out = []
     for T in t_values:
         tg = TimeGrid(T, kernel.dt)
-        ids = _window_ids(tg, s_half)
+        ids = tg.window_indices(s_half)
         free = brute_force_measure(GibbsSpec(gs, kernel, w, tg, Smeared()))
         pinned = brute_force_measure(GibbsSpec(gs, kernel, w, tg, Pinned(pin, pin)))
         out.append((T, total_variation(free.window_marginal(ids).reshape(-1),
@@ -380,35 +374,25 @@ def doubled_moment_exact(gs: GroundState, kernel: HeatKernel, w: PairPotential,
         value = np.exp(-4.0 * (w.value if w.kind == "constant" else 0.0) * area)
         return np.full((m, m), value)
 
+    # column order of the enumeration: both starts, then leg a's steps, then leg b's
     cols = _enumerated_columns(m, 2 * n_steps + 2)
-    leg_a = np.concatenate([cols[:, :1], cols[:, 2:n_steps + 2]], axis=1)
-    leg_b = np.concatenate([cols[:, 1:2], cols[:, n_steps + 2:]], axis=1)
+    leg_a = [0, *range(2, n_steps + 2)]
+    leg_b = [1, *range(n_steps + 2, 2 * n_steps + 2)]
     p = transfer_matrix(gs, kernel)
     with np.errstate(divide="ignore"):
         log_p = np.log(p)
     log_ref = np.zeros(cols.shape[0])
     for k in range(n_steps):
-        log_ref += log_p[leg_a[:, k], leg_a[:, k + 1]]
-        log_ref += log_p[leg_b[:, k], leg_b[:, k + 1]]
+        log_ref += log_p[cols[:, leg_a[k]], cols[:, leg_a[k + 1]]]
+        log_ref += log_p[cols[:, leg_b[k]], cols[:, leg_b[k + 1]]]
 
-    times = kernel.dt * np.arange(n_steps + 1)
-    wt = np.full(n_steps + 1, kernel.dt)
-    wt[0] = wt[-1] = kernel.dt / 2.0
-    quad = wt[:, None] * wt[None, :]
-    lag_same = np.abs(times[:, None] - times[None, :])
-    lag_cross = times[:, None] + times[None, :]
-    xa = grid.x[leg_a]
-    xb = grid.x[leg_b]
+    mask, lags = doubled_layout(n_steps, kernel.dt)
+    layout = leg_a + leg_b
     h_vals = np.empty(cols.shape[0])
-    chunk = 50_000
+    chunk = 2 ** 15   # keeps the per-chunk pair arrays cache-sized
     for lo in range(0, cols.shape[0], chunk):
-        a = xa[lo:lo + chunk]
-        b = xb[lo:lo + chunk]
-        vals = (w.evaluate(a[:, :, None], a[:, None, :], lag_same)
-                + w.evaluate(b[:, :, None], b[:, None, :], lag_same)
-                + w.evaluate(a[:, :, None], b[:, None, :], lag_cross)
-                + w.evaluate(b[:, :, None], a[:, None, :], lag_cross))
-        h_vals[lo:lo + chunk] = -np.einsum("cij,ij->c", vals, quad)
+        h_vals[lo:lo + chunk] = pair_action(w, grid.x[cols[lo:lo + chunk][:, layout]],
+                                            mask, lags)
 
     per_start = m ** (2 * n_steps)
     lw = (log_ref + h_vals).reshape(m * m, per_start)

@@ -1,10 +1,12 @@
 """Pair-interaction energies over two-time regions, path shifts, doubling.
 
 The energy of a path over a region R of the (t, s) plane is the 2D
-trapezoid quadrature of -W(x_t, x_s, |t-s|). Regions are weight masks on
-the path's own time grid, built by inclusion-exclusion from rectangles so
-all regions share one quadrature order. The unbounded regions truncate at
-a finite horizon and report an analytic envelope bound for the remainder.
+trapezoid quadrature of -W(|x_t - x_s|, |t - s|). A region is a signed
+sum of rectangles (inclusion-exclusion) that becomes a weight mask on the
+path's own time grid, and every energy in the package, for one path or a
+batch, goes through the one quadrature `pair_action`. The unbounded
+regions truncate at a finite horizon and report an analytic envelope
+bound for the remainder.
 """
 
 import math
@@ -13,140 +15,120 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Path, TimeGrid
-from .potentials import PairPotential, SitePotential, interaction_budget
+from .potentials import PairPotential, interaction_budget
 
 
-def _rect(tg: TimeGrid, t_int, s_int) -> np.ndarray:
-    return np.outer(tg.interval_weights(*t_int), tg.interval_weights(*s_int))
+def pair_action(w: PairPotential, positions: np.ndarray,
+                mask: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """H = -sum_ij mask_ij W(|x_i - x_j|, lags_ij) for a batch of paths.
+
+    `positions` holds one path per row (or is a single 1-d path); `lags`
+    must be symmetric. W is radial, so each unordered pair i < j is
+    evaluated once with weight mask_ij + mask_ji, and the diagonal, where
+    u = 0, adds the path-independent constant diag(mask) @ W(0, diag(lags)).
+    """
+    if np.any(lags < 0):
+        raise ValueError("pair potential needs t >= 0")
+    x = np.ascontiguousarray(np.atleast_2d(positions).T)   # one row per time slice
+    sym = mask + mask.T
+    i, j = np.nonzero(np.triu(sym, k=1))
+    vals = w.radial(np.abs(x[i] - x[j]), lags[i, j][:, None])
+    diagonal = np.diagonal(mask) @ w.radial(0.0, np.diagonal(lags))
+    return -(sym[i, j] @ vals + diagonal)
 
 
 @dataclass(frozen=True)
-class SquareRegion:
+class Region:
+    """Signed sum of rectangles [t0, t1] x [s0, s1] in the (t, s) plane.
+
+    `rects` holds (sign, (t0, t1), (s0, s1)) triples. A region that is
+    unbounded in the paper is truncated to |t|, |s| <= span(), and
+    `tail_weight * W.envelope_tail(tail_start)` bounds what it leaves out.
+    """
+
+    name: str
+    rects: tuple
+    tail_weight: float = 0.0
+    tail_start: float = 0.0
+
+    def span(self) -> float:
+        return max(abs(e) for _, t, s in self.rects for e in (*t, *s))
+
+    def weights(self, tg: TimeGrid) -> np.ndarray:
+        return sum(sign * np.outer(tg.interval_weights(*t), tg.interval_weights(*s))
+                   for sign, t, s in self.rects)
+
+    def envelope_bound(self, w: PairPotential) -> float:
+        """Each instant meets at most the interaction budget along the other
+        time axis, so a rectangle collects at most budget x its shorter side."""
+        return interaction_budget(w) * sum(min(t[1] - t[0], s[1] - s[0])
+                                           for sign, t, s in self.rects if sign > 0)
+
+    def truncation_tail(self, w: PairPotential) -> float:
+        # a bounded region has no tail even where envelope_tail is inf (constant W)
+        return self.tail_weight * w.envelope_tail(self.tail_start) if self.tail_weight else 0.0
+
+    def label(self) -> str:
+        return self.name
+
+
+def _cross(S: float, T: float) -> tuple:
+    """([-T,T] x [-S,S]) union ([-S,S] x [-T,T]) by inclusion-exclusion."""
+    return ((1.0, (-T, T), (-S, S)), (1.0, (-S, S), (-T, T)), (-1.0, (-S, S), (-S, S)))
+
+
+def SquareRegion(T: float) -> Region:
     """[-T, T] x [-T, T]."""
-
-    T: float
-
-    def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError("square region needs T > 0")
-
-    def span(self) -> float:
-        return self.T
-
-    def weights(self, tg: TimeGrid) -> np.ndarray:
-        return _rect(tg, (-self.T, self.T), (-self.T, self.T))
-
-    def envelope_bound(self, w: PairPotential) -> float:
-        return 2.0 * self.T * interaction_budget(w)
-
-    def truncation_tail(self, w: PairPotential) -> float:
-        return 0.0
-
-    def label(self) -> str:
-        return f"square(T={self.T})"
+    if T <= 0:
+        raise ValueError("square region needs T > 0")
+    return Region(f"square(T={T})", ((1.0, (-T, T), (-T, T)),))
 
 
-@dataclass(frozen=True)
-class FrameRegion:
+def FrameRegion(S: float, T: float) -> Region:
     """([-T,T] x [-S,S]) union ([-S,S] x [-T,T])."""
-
-    S: float
-    T: float
-
-    def __post_init__(self):
-        if not 0 < self.S <= self.T:
-            raise ValueError("frame region needs 0 < S <= T")
-
-    def span(self) -> float:
-        return self.T
-
-    def weights(self, tg: TimeGrid) -> np.ndarray:
-        return (_rect(tg, (-self.T, self.T), (-self.S, self.S))
-                + _rect(tg, (-self.S, self.S), (-self.T, self.T))
-                - _rect(tg, (-self.S, self.S), (-self.S, self.S)))
-
-    def envelope_bound(self, w: PairPotential) -> float:
-        return 4.0 * self.S * interaction_budget(w)
-
-    def truncation_tail(self, w: PairPotential) -> float:
-        return 0.0
-
-    def label(self) -> str:
-        return f"frame(S={self.S}, T={self.T})"
+    if not 0 < S <= T:
+        raise ValueError("frame region needs 0 < S <= T")
+    return Region(f"frame(S={S}, T={T})", _cross(S, T))
 
 
-@dataclass(frozen=True)
-class StripRegion:
+def StripRegion(S: float, t_max: float) -> Region:
     """(R x [-S,S]) truncated to |t| <= t_max."""
-
-    S: float
-    t_max: float
-
-    def __post_init__(self):
-        if not 0 < self.S <= self.t_max:
-            raise ValueError("strip region needs 0 < S <= t_max")
-
-    def span(self) -> float:
-        return self.t_max
-
-    def weights(self, tg: TimeGrid) -> np.ndarray:
-        return _rect(tg, (-self.t_max, self.t_max), (-self.S, self.S))
-
-    def envelope_bound(self, w: PairPotential) -> float:
-        return 2.0 * self.S * interaction_budget(w)
-
-    def truncation_tail(self, w: PairPotential) -> float:
-        return 4.0 * self.S * w.envelope_tail(self.t_max - self.S)
-
-    def label(self) -> str:
-        return f"strip(S={self.S}, t_max={self.t_max})"
+    if not 0 < S <= t_max:
+        raise ValueError("strip region needs 0 < S <= t_max")
+    return Region(f"strip(S={S}, t_max={t_max})", ((1.0, (-t_max, t_max), (-S, S)),),
+                  4.0 * S, t_max - S)
 
 
-@dataclass(frozen=True)
-class InfiniteFrameRegion:
+def InfiniteFrameRegion(S: float, t_max: float) -> Region:
     """((R x [-S,S]) union ([-S,S] x R)) truncated to the square |t|,|s| <= t_max."""
-
-    S: float
-    t_max: float
-
-    def __post_init__(self):
-        if not 0 < self.S <= self.t_max:
-            raise ValueError("infinite frame needs 0 < S <= t_max")
-
-    def span(self) -> float:
-        return self.t_max
-
-    def weights(self, tg: TimeGrid) -> np.ndarray:
-        return (_rect(tg, (-self.t_max, self.t_max), (-self.S, self.S))
-                + _rect(tg, (-self.S, self.S), (-self.t_max, self.t_max))
-                - _rect(tg, (-self.S, self.S), (-self.S, self.S)))
-
-    def envelope_bound(self, w: PairPotential) -> float:
-        return 4.0 * self.S * interaction_budget(w)
-
-    def truncation_tail(self, w: PairPotential) -> float:
-        return 8.0 * self.S * w.envelope_tail(self.t_max - self.S)
-
-    def label(self) -> str:
-        return f"infinite_frame(S={self.S}, t_max={self.t_max})"
+    if not 0 < S <= t_max:
+        raise ValueError("infinite frame needs 0 < S <= t_max")
+    return Region(f"infinite_frame(S={S}, t_max={t_max})", _cross(S, t_max),
+                  8.0 * S, t_max - S)
 
 
-def interaction_energy(w: PairPotential, path: Path, region) -> float:
-    """-(2D quadrature of W over the region) on the path's time grid."""
-    tg = path.timegrid
+def HalfLineRegion(T: float) -> Region:
+    """[-T, 0] x [0, T]: the coupling of the two half lines."""
+    if T <= 0:
+        raise ValueError("half-line block needs T > 0")
+    return Region(f"half_line(T={T})", ((1.0, (-T, 0.0), (0.0, T)),))
+
+
+def region_action(w: PairPotential, positions: np.ndarray, tg: TimeGrid,
+                  region: Region) -> np.ndarray:
+    """`pair_action` over the region for paths on `tg`, one per row."""
     if region.span() > tg.T + 1e-12:
         raise ValueError(f"path covers [-{tg.T}, {tg.T}] but region {region.label()} "
                          f"extends to {region.span()}")
-    mask = region.weights(tg)
-    rows = np.flatnonzero(mask.any(axis=1))
-    cols = np.flatnonzero(mask.any(axis=0))
-    x = path.positions
-    lag = np.abs(tg.times[rows][:, None] - tg.times[cols][None, :])
-    vals = w.evaluate(x[rows][:, None], x[cols][None, :], lag)
-    return -float(np.sum(mask[np.ix_(rows, cols)] * vals))
+    return pair_action(w, positions, region.weights(tg), tg.lags())
 
 
-def energy_report(w: PairPotential, path: Path, region) -> dict:
+def interaction_energy(w: PairPotential, path: Path, region: Region) -> float:
+    """-(2D quadrature of W over the region) on the path's time grid."""
+    return float(region_action(w, path.positions, path.timegrid, region)[0])
+
+
+def energy_report(w: PairPotential, path: Path, region: Region) -> dict:
     """JSON-ready record: value, envelope bound, truncation interval."""
     value = interaction_energy(w, path, region)
     bound = region.envelope_bound(w)
@@ -160,21 +142,50 @@ def energy_report(w: PairPotential, path: Path, region) -> dict:
     return report
 
 
-def apply_shift(path: Path, tau: float) -> Path:
-    """Outward two-sided time shift: value at t >= 0 comes from t + tau,
-    value at t < 0 from t - tau; the result spans [-T + tau, T - tau]."""
-    tg = path.timegrid
+def _stack(paths: list) -> tuple[TimeGrid, np.ndarray]:
+    """The one time grid of an ensemble and its positions, one path per row."""
+    tg = paths[0].timegrid
+    if any(p.timegrid.n != tg.n or p.timegrid.dt != tg.dt for p in paths):
+        raise ValueError("paths must share one time grid")
+    return tg, np.stack([p.positions for p in paths])
+
+
+def split_interaction(w: PairPotential, path: Path, T: float) -> float:
+    """|quadrature of W over [-T, 0] x [0, T]| for one path."""
+    return abs(interaction_energy(w, path, HalfLineRegion(T)))
+
+
+def estimate_split_interaction(w: PairPotential, paths, T: float) -> float:
+    """Largest half-line interaction magnitude over a path ensemble.
+
+    An empirical lower bound for the supremum over all continuous paths;
+    never a certified supremum.
+    """
+    paths = list(paths)
+    if not paths:
+        raise ValueError("need a nonempty path ensemble")
+    tg, x = _stack(paths)
+    return float(np.max(np.abs(region_action(w, x, tg, HalfLineRegion(T)))))
+
+
+def _shift_index(tg: TimeGrid, tau: float) -> tuple[TimeGrid, np.ndarray]:
+    """Grid of the shifted path and, per instant, the index it reads from."""
     k = round(tau / tg.dt)
     if k < 0 or abs(k * tg.dt - tau) > 1e-12 * max(1.0, tau):
         raise ValueError(f"shift {tau} is not a nonnegative multiple of dt = {tg.dt}")
     if k == 0:
-        return Path(tg, path.positions.copy())
+        return tg, np.arange(tg.n_times)
     if tg.n - k < 1:
         raise ValueError(f"shift {tau} leaves no interior window of the path")
     out_tg = TimeGrid((tg.n - k) * tg.dt, tg.dt)
-    m = out_tg.n
-    idx = np.arange(-m, m + 1)
-    src = np.where(idx >= 0, idx + k, idx - k) + tg.n
+    idx = np.arange(-out_tg.n, out_tg.n + 1)
+    return out_tg, np.where(idx >= 0, idx + k, idx - k) + tg.n
+
+
+def apply_shift(path: Path, tau: float) -> Path:
+    """Outward two-sided time shift: value at t >= 0 comes from t + tau,
+    value at t < 0 from t - tau; the result spans [-T + tau, T - tau]."""
+    out_tg, src = _shift_index(path.timegrid, tau)
     return Path(out_tg, path.positions[src])
 
 
@@ -211,31 +222,29 @@ def check_shift_inequality(w: PairPotential, paths, T: float, taus,
                            tol: float = 1e-9) -> ShiftInequalityReport:
     """Check the shift stability inequality on an ensemble.
 
-    Each path must span [-T - max(tau), T + max(tau)]. When C and D are
-    given, violations are reported against them; the fitted (c_star,
-    d_star) is the smallest feasible line over the sampled gaps either way.
+    The paths must share one time grid spanning [-T - max(tau),
+    T + max(tau)]. When C and D are given, violations are reported against
+    them; the fitted (c_star, d_star) is the smallest feasible line over
+    the sampled gaps either way.
     """
     paths = list(paths)
     taus = np.asarray(sorted(float(t) for t in taus), dtype=float)
     if not paths or taus.size == 0 or taus[0] <= 0:
         raise ValueError("need paths and positive shift values")
+    tg, x = _stack(paths)
     region = SquareRegion(T)
-    base = [interaction_energy(w, p, region) for p in paths]
-    worst = np.full(taus.size, -math.inf)
+    base = region_action(w, x, tg, region)
     gaps = np.empty((len(paths), taus.size))
     for j, tau in enumerate(taus):
-        for i, p in enumerate(paths):
-            shifted = apply_shift(p, tau)
-            gaps[i, j] = base[i] - interaction_energy(w, shifted, region)
-        worst[j] = gaps[:, j].max()
+        out_tg, src = _shift_index(tg, tau)
+        gaps[:, j] = base - region_action(w, x[:, src], out_tg, region)
+    worst = gaps.max(axis=0)
     c_star, d_star = _feasible_line(taus, worst)
-    violations = []
     if C is None or D is None:
         C, D = c_star, d_star
-    for i in range(len(paths)):
-        for j, tau in enumerate(taus):
-            if gaps[i, j] > C * tau + D + tol:
-                violations.append((i, float(tau), float(gaps[i, j] - C * tau - D)))
+    bad = np.argwhere(gaps > C * taus + D + tol)
+    excess = gaps - C * taus - D
+    violations = [(int(i), float(taus[j]), float(excess[i, j])) for i, j in bad]
     return ShiftInequalityReport(list(taus), [float(g) for g in worst],
                                  violations, c_star, d_star)
 
@@ -256,27 +265,19 @@ class LagDampingReport:
 
 
 def check_lag_damping(w: PairPotential, paths, T: float, taus) -> LagDampingReport:
-    """Evaluate the lag-damping integrals on an ensemble and fit (L, M)."""
+    """Evaluate the lag-damping integrals on an ensemble sharing one time
+    grid and fit (L, M)."""
     paths = list(paths)
     taus = np.asarray(sorted(float(t) for t in taus), dtype=float)
     if not paths or taus.size == 0 or taus[0] <= 0:
         raise ValueError("need paths and positive shift values")
-    values = np.empty((len(paths), taus.size))
-    for i, p in enumerate(paths):
-        tg = p.timegrid
-        if T > tg.T + 1e-12:
-            raise ValueError(f"path covers [-{tg.T}, {tg.T}], cannot integrate to T = {T}")
-        w_neg = tg.interval_weights(-T, 0.0)
-        w_pos = tg.interval_weights(0.0, T)
-        rows = np.flatnonzero(w_neg)
-        cols = np.flatnonzero(w_pos)
-        xs = p.positions[rows][:, None]
-        xt = p.positions[cols][None, :]
-        lag = np.abs(tg.times[rows][:, None] - tg.times[cols][None, :])
-        mask = np.outer(w_neg[rows], w_pos[cols])
-        for j, tau in enumerate(taus):
-            diff = w.evaluate(xs, xt, lag) - w.evaluate(xs, xt, lag + 2.0 * tau)
-            values[i, j] = float(np.sum(mask * diff))
+    tg, x = _stack(paths)
+    block = HalfLineRegion(T)
+    base = region_action(w, x, tg, block)
+    mask, lags = block.weights(tg), tg.lags()
+    # sum mask (W(lag) - W(lag + 2 tau)) is the action at lag + 2 tau minus the action at lag
+    values = np.stack([pair_action(w, x, mask, lags + 2.0 * tau) - base for tau in taus],
+                      axis=1)
     worst = values.max(axis=0)
     l_star, m_star = _feasible_line(taus, worst)
     return LagDampingReport(list(taus), values, l_star, m_star)
@@ -305,6 +306,21 @@ def fold_path(path: Path) -> DoubledPath:
     return DoubledPath(path.timegrid, path.positions[n:], path.positions[n::-1])
 
 
+def doubled_layout(steps: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mask and lags of two branches on 0, dt, ..., steps dt laid out as one
+    path of 2 (steps + 1) instants, the first branch then the second.
+
+    Same-branch pairs sit at lag |s - t| and cross-branch pairs at s + t;
+    every block carries the trapezoid weights of [0, steps dt] in both times.
+    """
+    t = dt * np.arange(steps + 1)
+    wt = np.full(steps + 1, dt)
+    wt[0] = wt[-1] = 0.5 * dt
+    same = np.abs(t[:, None] - t[None, :])
+    cross = t[:, None] + t[None, :]
+    return np.tile(np.outer(wt, wt), (2, 2)), np.block([[same, cross], [cross, same]])
+
+
 def doubled_energy(w: PairPotential, dp: DoubledPath, T: float) -> float:
     """Energy of the folded pair: same-branch terms at lag |s-t| plus
     cross-branch terms at lag s+t, integrated over [0,T]^2."""
@@ -312,31 +328,6 @@ def doubled_energy(w: PairPotential, dp: DoubledPath, T: float) -> float:
     if T > tg.T + 1e-12:
         raise ValueError(f"doubled path covers [0, {tg.T}], got T = {T}")
     k = tg.index_of_time(T) - tg.n
-    wt = np.full(k + 1, tg.dt)
-    wt[0] = wt[-1] = 0.5 * tg.dt
-    t = np.arange(k + 1) * tg.dt
-    f = dp.forward[:k + 1]
-    b = dp.backward[:k + 1]
-    lag_diff = np.abs(t[:, None] - t[None, :])
-    lag_sum = t[:, None] + t[None, :]
-    total = (w.evaluate(f[:, None], f[None, :], lag_diff)
-             + w.evaluate(b[:, None], b[None, :], lag_diff)
-             + w.evaluate(f[:, None], b[None, :], lag_sum)
-             + w.evaluate(b[:, None], f[None, :], lag_sum))
-    return -float(np.sum(np.outer(wt, wt) * total))
-
-
-def mean_field_energy(v: SitePotential, pair_fn, path: Path, T: float) -> float:
-    """Comparison functional: -int V(x_s) ds - (1/2T) int int pair(x_s, x_t)."""
-    tg = path.timegrid
-    if T > tg.T + 1e-12:
-        raise ValueError(f"path covers [-{tg.T}, {tg.T}], got T = {T}")
-    wts = tg.interval_weights(-T, T)
-    idx = np.flatnonzero(wts)
-    x = path.positions[idx]
-    single = -float(np.sum(wts[idx] * v.evaluate(x)))
-    if pair_fn is None:
-        return single
-    vals = np.asarray(pair_fn(x[:, None], x[None, :]), dtype=float)
-    double = float(np.sum(np.outer(wts[idx], wts[idx]) * vals))
-    return single - double / (2.0 * T)
+    mask, lags = doubled_layout(k, tg.dt)
+    x = np.concatenate([dp.forward[:k + 1], dp.backward[:k + 1]])
+    return float(pair_action(w, x, mask, lags)[0])

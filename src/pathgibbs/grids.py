@@ -78,6 +78,22 @@ class TimeGrid:
             raise ValueError(f"time {t} is not on the grid [-{self.T}, {self.T}] step {self.dt}")
         return k + self.n
 
+    def lags(self) -> np.ndarray:
+        """|t_i - t_j| for every pair of instants."""
+        return np.abs(self.times[:, None] - self.times[None, :])
+
+    def window_indices(self, s_half: float) -> np.ndarray:
+        """Indices of the closed window |t| <= s_half.
+
+        A window conditional resamples the interior and keeps the values at
+        t = -s_half and t = s_half with the exterior, as in the DLR
+        conditioning on the complement of (-s_half, s_half).
+        """
+        k = int(round(s_half / self.dt))
+        if abs(k * self.dt - s_half) > 1e-9 or not 0 <= k <= self.n:
+            raise ValueError(f"window half-width {s_half} does not fit the time grid")
+        return np.arange(self.n - k, self.n + k + 1)
+
     def weights(self) -> np.ndarray:
         """Trapezoidal quadrature weights over the full window [-T, T]."""
         w = np.full(self.n_times, self.dt)

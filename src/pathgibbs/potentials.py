@@ -370,31 +370,3 @@ def sufficient_condition_report(v: SitePotential, w: PairPotential,
     # a vanishing interaction never constrains the growth budget
     holds = threshold < alpha or (budget == 0.0 and alpha >= 0.0)
     return SufficientConditionReport(holds, margin, threshold, alpha, budget, mode, note)
-
-
-def split_interaction(w: PairPotential, path, T: float) -> float:
-    """|quadrature of W over [-T, 0] x [0, T]| for one path."""
-    tg = path.timegrid
-    if T > tg.T + 1e-12:
-        raise ValueError(f"path covers [-{tg.T}, {tg.T}], cannot integrate to T = {T}")
-    w_neg = tg.interval_weights(-T, 0.0)
-    w_pos = tg.interval_weights(0.0, T)
-    i_neg = np.nonzero(w_neg)[0]
-    i_pos = np.nonzero(w_pos)[0]
-    xs = path.positions[i_neg][:, None]
-    xt = path.positions[i_pos][None, :]
-    lag = np.abs(tg.times[i_neg][:, None] - tg.times[i_pos][None, :])
-    vals = w.evaluate(xs, xt, lag)
-    return float(abs(np.sum(w_neg[i_neg][:, None] * w_pos[i_pos][None, :] * vals)))
-
-
-def estimate_split_interaction(w: PairPotential, paths, T: float) -> float:
-    """Largest half-line interaction magnitude over a path ensemble.
-
-    An empirical lower bound for the supremum over all continuous paths;
-    never a certified supremum.
-    """
-    paths = list(paths)
-    if not paths:
-        raise ValueError("need a nonempty path ensemble")
-    return max(split_interaction(w, p, T) for p in paths)

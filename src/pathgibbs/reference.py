@@ -1,13 +1,10 @@
 """Stationary reference diffusion built from a ground state.
 
-The primary sampler is the exact discrete chain on the space grid, whose
-one-step law is the heat kernel reweighted by the ground state. An
-Euler-Maruyama integrator for the corresponding SDE serves as an
-independent cross-check, and a Trotter-product evaluator verifies the
-kernel representation of expectations.
+The sampler is the exact discrete chain on the space grid, whose one-step
+law is the heat kernel reweighted by the ground state. A Trotter-product
+evaluator verifies the kernel representation of expectations.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,10 +12,6 @@ import numpy as np
 from .grids import Path, TimeGrid
 from .spectral import GroundState, HeatKernel
 from .stats import log_log_slope
-
-_ENSEMBLE_MAGIC = b"PGPATH01"
-
-DRIFT_PSI_FLOOR = 1e-12
 
 # largest |row sum - 1| that transfer_matrix accepts: relative kernel error
 # (about 1e-13) plus dt times the relative residual |A psi| / psi of the
@@ -201,80 +194,6 @@ def bridge_marginal(kernel: HeatKernel, ia: int, ib: int, k: int, m: int) -> np.
 
 
 @dataclass
-class DriftTable:
-    """Tabulated drift log-derivative of the ground state, with the clamp."""
-
-    x: np.ndarray
-    drift: np.ndarray
-
-    def at(self, pos):
-        return np.interp(pos, self.x, self.drift)
-
-
-def drift_table(gs: GroundState) -> DriftTable:
-    """Central-difference d/dx log psi, constant beyond the psi floor."""
-    valid = gs.psi >= DRIFT_PSI_FLOOR
-    x = gs.grid.x[valid]
-    lp = np.log(gs.psi[valid])
-    d = np.gradient(lp, x)
-    if gs.radial:
-        # stored profile is u(r) = r psi(r); drift of psi needs -1/r
-        d = d - 1.0 / x
-    return DriftTable(x, d)
-
-
-@dataclass
-class SdeResult:
-    times: np.ndarray
-    positions: np.ndarray
-    reflections: int
-
-
-def simulate_sde(gs: GroundState, duration: float, dt: float, x_init,
-                 seed, noise_scale: float = 1.0) -> SdeResult:
-    """Euler-Maruyama cross-check of the reference diffusion.
-
-    d=1 for ordinary ground states; for radial ground states the state is
-    a point in R^3 with isotropic noise and radial drift. Excursions past
-    the grid edge are reflected and counted.
-    """
-    if dt <= 0 or duration <= 0:
-        raise ValueError("SDE simulation needs positive duration and dt")
-    steps = int(round(duration / dt))
-    table = drift_table(gs)
-    rng = make_rng(seed)
-    dim = 3 if gs.radial else 1
-    pos = np.empty((steps + 1, dim))
-    pos[0] = np.asarray(x_init, dtype=float).reshape(dim)
-    reflections = 0
-    lo, hi = gs.grid.lower, gs.grid.upper
-    sq = np.sqrt(dt)
-    for n in range(steps):
-        x = pos[n]
-        if gs.radial:
-            r = float(np.sqrt(np.sum(x * x)))
-            drift = table.at(r) * (x / r) if r > 0 else np.zeros(dim)
-        else:
-            drift = table.at(x)
-        nxt = x + drift * dt + noise_scale * sq * rng.standard_normal(dim)
-        if gs.radial:
-            r = float(np.sqrt(np.sum(nxt * nxt)))
-            if r > hi:
-                nxt = nxt * (2 * hi - r) / r
-                reflections += 1
-        else:
-            if nxt[0] > hi:
-                nxt[0] = 2 * hi - nxt[0]
-                reflections += 1
-            elif nxt[0] < lo:
-                nxt[0] = 2 * lo - nxt[0]
-                reflections += 1
-        pos[n + 1] = nxt
-    times = np.arange(steps + 1) * dt
-    return SdeResult(times, pos if gs.radial else pos[:, 0], reflections)
-
-
-@dataclass
 class FkfReport:
     dts: list
     residuals: list
@@ -316,27 +235,3 @@ def fkf_convergence(gs: GroundState, f, T: float, dts) -> FkfReport:
     residuals = [abs(_trotter_expectation(gs, f_vals, T, dt) - chain) for dt in dts]
     order = log_log_slope(dts, residuals)
     return FkfReport(list(dts), residuals, chain, order)
-
-
-def export_path_csv(path: Path, file) -> None:
-    data = np.column_stack([path.timegrid.times, path.positions])
-    np.savetxt(file, data, delimiter=",", header="time,position", comments="")
-
-
-def save_ensemble(ens: PathEnsemble, file) -> None:
-    """Little-endian binary dump of an ensemble (times then positions)."""
-    with open(file, "wb") as f:
-        f.write(_ENSEMBLE_MAGIC)
-        f.write(struct.pack("<qqd", len(ens), ens.timegrid.n_times, ens.timegrid.dt))
-        f.write(np.ascontiguousarray(ens.positions, dtype="<f8").tobytes())
-
-
-def load_ensemble(file) -> PathEnsemble:
-    with open(file, "rb") as f:
-        if f.read(8) != _ENSEMBLE_MAGIC:
-            raise ValueError(f"{file}: not an ensemble file")
-        n_paths, n_times, dt = struct.unpack("<qqd", f.read(24))
-        positions = np.frombuffer(f.read(8 * n_paths * n_times), dtype="<f8")
-    n = (n_times - 1) // 2
-    tg = TimeGrid(n * dt, dt)
-    return PathEnsemble(tg, positions.reshape(n_paths, n_times).astype(float))

@@ -23,7 +23,7 @@ from .grids import SpaceGrid, TimeGrid
 from .potentials import PairPotential
 from .spectral import GroundState, HeatKernel, ground_state, heat_kernel
 from .reference import make_rng, sample_paths, sample_bridge
-from .energy import SquareRegion, FrameRegion
+from .energy import FrameRegion, SquareRegion, pair_action
 
 
 @dataclass(frozen=True)
@@ -136,26 +136,6 @@ def _sample_categorical_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.argmax(cdf >= (u * total)[:, None], axis=1)
 
 
-def _check_lags(lags: np.ndarray) -> None:
-    if np.any(lags < 0):
-        raise ValueError("pair potential needs t >= 0")
-
-
-def interaction_action(w: PairPotential, positions: np.ndarray,
-                       mask: np.ndarray, lags: np.ndarray) -> np.ndarray:
-    """H = -sum_ij mask_ij W(|x_i - x_j|, |t_i - t_j|) for a batch of paths.
-
-    W is radial, so each unordered pair i < j is evaluated once with weight
-    mask_ij + mask_ji, and the diagonal adds W(0, 0) * trace(mask).
-    """
-    _check_lags(lags)
-    x = np.ascontiguousarray(np.atleast_2d(positions).T)   # one row per time slice
-    sym = mask + mask.T
-    i, j = np.nonzero(np.triu(sym, k=1))
-    vals = w.radial(np.abs(x[i] - x[j]), lags[i, j][:, None])
-    return -(sym[i, j] @ vals + float(w.radial(0.0, 0.0)) * np.trace(mask))
-
-
 class _Engine:
     """Batched Metropolis-within-Gibbs kernel over a set of chains.
 
@@ -180,8 +160,7 @@ class _Engine:
         self.mode = config.mode
         tg = spec.timegrid
         self.n_t = tg.n_times
-        self.lags = np.abs(tg.times[:, None] - tg.times[None, :])
-        _check_lags(self.lags)
+        self.lags = tg.lags()
         self.mask = SquareRegion(tg.T).weights(tg) if mask is None else np.asarray(mask)
         if frozen is None:
             frozen = np.zeros(self.n_t, dtype=bool)
@@ -484,13 +463,12 @@ def brute_force_measure(spec: GibbsSpec) -> BruteForceTable:
     else:
         log_ref = np.log(grid.h) + log_psi[configs[:, 0]] + log_psi[configs[:, -1]] + steps
 
-    lags = np.abs(tg.times[:, None] - tg.times[None, :])
+    lags = tg.lags()
     mask = SquareRegion(tg.T).weights(tg)
     h_vals = np.empty(configs.shape[0])
     chunk = 2 ** 15   # keeps the per-chunk pair arrays cache-sized
     for lo in range(0, configs.shape[0], chunk):
-        h_vals[lo:lo + chunk] = interaction_action(spec.w, grid.x[configs[lo:lo + chunk]],
-                                                   mask, lags)
+        h_vals[lo:lo + chunk] = pair_action(spec.w, grid.x[configs[lo:lo + chunk]], mask, lags)
 
     log_weights = log_ref + h_vals
     ref_log_mass = float(logsumexp(log_ref))
@@ -517,27 +495,30 @@ class WindowConditional:
     frame_bound: float        # envelope bound on the window interaction
 
 
-def _window_indices(tg: TimeGrid, s_half: float) -> np.ndarray:
-    k = int(round(s_half / tg.dt))
-    if abs(k * tg.dt - s_half) > 1e-9 or k < 1:
+def _window_interior(tg: TimeGrid, s_half: float) -> np.ndarray:
+    """Time indices a window conditional resamples: the interior of the
+    closed window |t| <= s_half, which must lie strictly inside [-T, T]."""
+    ids = tg.window_indices(s_half)
+    if ids.size < 3:
         raise ValueError(f"window half-width {s_half} is not a positive grid multiple")
-    if k >= tg.n:
+    if ids.size == tg.n_times:
         raise ValueError("window must be strictly inside the time interval")
-    center = tg.n
-    return np.arange(center - k + 1, center + k)
+    return ids[1:-1]
 
 
 def window_conditional_exact(spec: GibbsSpec, s_half: float,
                              outside_config) -> WindowConditional:
-    """Enumerated conditional of the window |t| < s_half given the rest.
+    """Enumerated conditional of the window interior |t| < s_half given the rest.
 
-    `outside_config` fixes node indices for every time slice; entries inside
-    the window are ignored.  The interaction mask is the frame region of
-    pairs with at least one time in [-s_half, s_half], which includes the
-    cross terms between the window and the fixed exterior.
+    The values at t = -s_half and t = s_half condition the window like the
+    rest of the exterior (`TimeGrid.window_indices`).  `outside_config`
+    fixes node indices for every time slice; entries inside the window are
+    ignored.  The interaction mask is the frame region of pairs with at
+    least one time in [-s_half, s_half], which includes the cross terms
+    between the window and the fixed exterior.
     """
     grid, tg = spec.grid, spec.timegrid
-    ids = _window_indices(tg, s_half)
+    ids = _window_interior(tg, s_half)
     m = grid.points
     if m ** ids.size > MAX_ORACLE_CONFIGS:
         raise ValueError("window enumeration exceeds the oracle size cap")
@@ -552,9 +533,7 @@ def window_conditional_exact(spec: GibbsSpec, s_half: float,
         log_ref += log_k[composite[:, k], composite[:, k + 1]]
 
     frame = FrameRegion(s_half, tg.T)
-    mask = frame.weights(tg)
-    lags = np.abs(tg.times[:, None] - tg.times[None, :])
-    h_vals = interaction_action(spec.w, grid.x[composite], mask, lags)
+    h_vals = pair_action(spec.w, grid.x[composite], frame.weights(tg), tg.lags())
 
     log_weights = log_ref + h_vals
     shape = (m,) * ids.size
@@ -567,7 +546,7 @@ def window_conditional_chain(spec: GibbsSpec, s_half: float, outside_path,
                              config: ChainConfig) -> EnsembleResult:
     """MCMC sampler of the window conditional for non-enumerable sizes."""
     tg = spec.timegrid
-    ids = _window_indices(tg, s_half)
+    ids = _window_interior(tg, s_half)
     frozen = np.ones(tg.n_times, dtype=bool)
     frozen[ids] = False
     mask = FrameRegion(s_half, tg.T).weights(tg)

@@ -1,4 +1,4 @@
-"""Tridiagonal Schroedinger solve, heat kernels, and their binary cache.
+"""Tridiagonal Schroedinger solve and heat kernels.
 
 The operator is -1/2 d^2/dx^2 + V on a uniform grid with homogeneous
 Dirichlet values one spacing outside both grid ends. After the ground
@@ -42,7 +42,6 @@ is 5e-113); at dt = 0.25 the far corners (about 8e-205) are.
 """
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,8 +51,6 @@ from scipy.special import bdtrc, pdtrc
 
 from .grids import SpaceGrid
 from .potentials import SitePotential
-
-_CACHE_MAGIC = b"PGSPEC02"
 
 # kernel entries below this are set to zero (see the module docstring)
 KERNEL_FLOOR = 1e-150
@@ -395,39 +392,6 @@ def heat_kernel(gs: GroundState, dt: float) -> HeatKernel:
     if dt <= 0:
         raise ValueError("heat kernel needs dt > 0")
     return HeatKernel(gs.grid, dt, _semigroup_matrix(gs.operator, dt), gs.operator)
-
-
-def save_cache(gs: GroundState, kernel: HeatKernel, path) -> None:
-    """Binary cache (little-endian doubles) for a ground state + kernel pair."""
-    n = gs.grid.points
-    with open(path, "wb") as f:
-        f.write(_CACHE_MAGIC)
-        f.write(struct.pack("<qB", n, 1 if gs.radial else 0))
-        f.write(struct.pack("<4d", gs.grid.lower, gs.grid.upper, gs.energy, kernel.dt))
-        for arr in (gs.psi, gs.v_grid, gs.operator.diag, gs.operator.off, kernel.matrix):
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def load_cache(path) -> tuple[GroundState, HeatKernel]:
-    """Read a `save_cache` file; other files, older formats included, raise ValueError."""
-    with open(path, "rb") as f:
-        if f.read(8) != _CACHE_MAGIC:
-            raise ValueError(f"{path}: not a spectral cache file of this version")
-        n, radial = struct.unpack("<qB", f.read(9))
-        lower, upper, energy, dt = struct.unpack("<4d", f.read(32))
-
-        def block(count):
-            return np.frombuffer(f.read(8 * count), dtype="<f8").astype(float)
-
-        psi = block(n)
-        v_grid = block(n)
-        diag = block(n)
-        off = block(n - 1)
-        matrix = block(n * n).reshape(n, n)
-    grid = SpaceGrid(lower, upper, n)
-    op = Tridiagonal(diag, off)
-    gs = GroundState(grid, energy, psi, op, v_grid, bool(radial))
-    return gs, HeatKernel(grid, dt, matrix, op)
 
 
 DEFAULT_BOX = (-8.0, 8.0, 801)

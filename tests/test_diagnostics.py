@@ -18,7 +18,7 @@ from pathgibbs.diagnostics import (psi_tail, psi_decay_fit, tail_summability,
                                    hitting_time_moment, doubled_moment_exact,
                                    ratio_bound_check, tightness_profile,
                                    window_convergence_exact, window_convergence_mc,
-                                   boundary_sensitivity_exact, _window_ids)
+                                   boundary_sensitivity_exact)
 
 
 @functools.lru_cache(maxsize=None)
@@ -298,12 +298,13 @@ def test_tightness_zero_interaction_matches_stationary_tail():
 
 def test_window_ids_validation():
     tg = TimeGrid(1.5, 0.5)
-    ids = _window_ids(tg, 0.5)
+    ids = tg.window_indices(0.5)
     assert list(ids) == [2, 3, 4]
+    assert list(tg.window_indices(1.5)) == list(range(7))
     with pytest.raises(ValueError, match="window"):
-        _window_ids(tg, 0.3)
+        tg.window_indices(0.3)
     with pytest.raises(ValueError, match="window"):
-        _window_ids(tg, 2.0)
+        tg.window_indices(2.0)
 
 
 def test_window_convergence_exact_ladder_decreases():

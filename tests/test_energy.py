@@ -16,18 +16,20 @@ from pathgibbs.energy import (
     energy_report,
     fold_path,
     interaction_energy,
-    mean_field_energy,
 )
 from pathgibbs.grids import Path, TimeGrid
 from pathgibbs.potentials import (
-    box_zero,
     constant_pair,
-    harmonic,
+    interaction_budget,
     nelson_pair,
     pair_from_table,
     step_pair,
     zero_pair,
 )
+
+BOUND_PAIRS = [nelson_pair(0.7), step_pair(0.9), zero_pair(), constant_pair(0.4),
+               pair_from_table([0.0, 1.0], [0.0, 1.0, 3.0],
+                               [[-1.0, -0.6, -0.1], [-0.5, -0.4, -0.05]])]
 
 
 def random_paths(T, dt, count, seed, scale=1.0):
@@ -87,6 +89,21 @@ def test_frame_and_strip_envelope_bounds():
         assert abs(es) <= 2.0 * math.pi * 1.0 + 1e-9
 
 
+@pytest.mark.parametrize("w", BOUND_PAIRS)
+def test_region_bounds_and_tails_match_closed_forms(w):
+    S, T = 0.75, 3.0
+    budget = interaction_budget(w)
+    tail = w.envelope_tail(T - S)
+    assert SquareRegion(T).envelope_bound(w) == 2.0 * T * budget
+    assert FrameRegion(S, T).envelope_bound(w) == 4.0 * S * budget
+    assert StripRegion(S, T).envelope_bound(w) == 2.0 * S * budget
+    assert InfiniteFrameRegion(S, T).envelope_bound(w) == 4.0 * S * budget
+    assert SquareRegion(T).truncation_tail(w) == 0.0
+    assert FrameRegion(S, T).truncation_tail(w) == 0.0
+    assert StripRegion(S, T).truncation_tail(w) == 4.0 * S * tail
+    assert InfiniteFrameRegion(S, T).truncation_tail(w) == 8.0 * S * tail
+
+
 def test_energy_report_fields():
     p = random_paths(4.0, 0.5, 1, 2)[0]
     rep = energy_report(nelson_pair(1.0), p, InfiniteFrameRegion(1.0, 4.0))
@@ -141,6 +158,32 @@ def test_shift_inequality_nelson_fitted():
         assert not bad.holds
 
 
+def test_batched_shift_gaps_match_per_path_loop():
+    w = nelson_pair(0.5)
+    paths = random_paths(3.0, 0.25, 12, 21)
+    taus = [0.25, 0.5, 1.0]
+    # with C = D = 0 and tol = -inf every (path, tau) is reported, its excess being the gap
+    rep = check_shift_inequality(w, paths, T=2.0, taus=taus, C=0.0, D=0.0, tol=-math.inf)
+    square = SquareRegion(2.0)
+    expected = [(i, tau, interaction_energy(w, p, square)
+                 - interaction_energy(w, apply_shift(p, tau), square))
+                for i, p in enumerate(paths) for tau in taus]
+    assert [(i, tau) for i, tau, _ in rep.violations] == [(i, tau) for i, tau, _ in expected]
+    for (_, _, got), (_, _, want) in zip(rep.violations, expected):
+        assert abs(got - want) < 1e-12
+    for j, tau in enumerate(taus):
+        worst = max(gap for _, t, gap in expected if t == tau)
+        assert abs(rep.worst_gap_per_tau[j] - worst) < 1e-12
+
+
+def test_ensembles_on_mixed_grids_raise():
+    paths = random_paths(3.0, 0.25, 2, 22) + random_paths(3.5, 0.25, 1, 23)
+    with pytest.raises(ValueError, match="one time grid"):
+        check_shift_inequality(nelson_pair(0.5), paths, T=2.0, taus=[0.5])
+    with pytest.raises(ValueError, match="one time grid"):
+        check_lag_damping(nelson_pair(0.5), paths, T=2.0, taus=[0.5])
+
+
 def test_lag_damping_monotone_is_nonpositive():
     paths = random_paths(3.0, 0.25, 10, 9)
     rep = check_lag_damping(nelson_pair(1.0), paths, T=2.0, taus=[0.5, 1.0])
@@ -187,21 +230,10 @@ def test_doubled_energy_partial_window():
         doubled_energy(w, DoubledPath(p.timegrid, np.zeros(9), np.zeros(9)), 5.0)
 
 
-def test_mean_field_energy_values():
-    tg = TimeGrid(1.0, 0.125)
-    ones = Path(tg, np.ones(tg.n_times))
-    assert mean_field_energy(box_zero(), None, ones, 1.0) == 0.0
-    # pair potential -1 contributes +(1/2T)(2T)^2 = 2T
-    val = mean_field_energy(box_zero(), lambda x, y: -np.ones(np.broadcast(x, y).shape),
-                            ones, 1.0)
-    assert val == pytest.approx(2.0, abs=1e-12)
-    assert mean_field_energy(harmonic(), None, ones, 1.0) == pytest.approx(-1.0, abs=1e-12)
-
-
 def test_step_potential_shift_scan_reports_growth():
     # the half-line interaction grows with T on the linear path, which is
     # the divergence signal; the fitted shift constants are only reported
-    from pathgibbs.potentials import split_interaction
+    from pathgibbs.energy import split_interaction
 
     w = step_pair(1.0)
     vals = []

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pathgibbs.energy import estimate_split_interaction, split_interaction
 from pathgibbs.grids import Path, TimeGrid
 from pathgibbs.potentials import (
     box_zero,
     check_time_monotone,
     constant_pair,
     coulomb_3d,
-    estimate_split_interaction,
     harmonic,
     interaction_budget,
     load_pair_table,
@@ -18,7 +18,6 @@ from pathgibbs.potentials import (
     nelson_pair,
     pair_from_table,
     site_from_table,
-    split_interaction,
     step_pair,
     sufficient_condition_report,
     verify_envelope,

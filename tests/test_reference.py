@@ -4,27 +4,22 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from pathgibbs.grids import TimeGrid, radial_grid
-from pathgibbs.potentials import coulomb_3d, harmonic
+from pathgibbs.grids import TimeGrid
+from pathgibbs.potentials import harmonic
 from pathgibbs.reference import (
     bridge_conditional,
     bridge_marginal,
-    drift_table,
-    export_path_csv,
     fkf_convergence,
-    load_ensemble,
     sample_bridge,
     sample_path,
     sample_paths,
-    save_ensemble,
-    simulate_sde,
     stationary_density,
     stationary_weights,
     transfer_matrix,
     transition_density,
     verify_fkf,
 )
-from pathgibbs.spectral import default_grid, ground_state, ground_state_radial, heat_kernel
+from pathgibbs.spectral import default_grid, ground_state, heat_kernel
 from pathgibbs.stats import ks_statistic_atomic, ks_statistic_continuous
 
 
@@ -150,45 +145,6 @@ def test_sample_bridge_reproducible_and_pinned(gs, k05):
     assert b1.positions[0] == -1.0 and b1.positions[-1] == 2.0
 
 
-def test_drift_is_minus_x_for_harmonic(gs):
-    table = drift_table(gs)
-    xs = np.linspace(-4, 4, 33)
-    assert np.max(np.abs(table.at(xs) + xs)) < 1e-3
-
-
-def test_radial_drift_constant_for_hydrogen():
-    gs = ground_state_radial(coulomb_3d(), radial_grid(40.0, 4000))
-    table = drift_table(gs)
-    # psi ~ e^-r so dlog(psi)/dr = -1 away from origin and wall
-    rs = np.linspace(2.0, 10.0, 9)
-    assert np.max(np.abs(table.at(rs) + 1.0)) < 5e-3
-
-
-def test_sde_zero_noise_fixed_point(gs):
-    res = simulate_sde(gs, 5.0, 0.01, 0.0, seed=1, noise_scale=0.0)
-    assert np.max(np.abs(res.positions)) < 1e-9
-    assert res.reflections == 0
-
-
-def test_sde_long_run_variance(gs):
-    res = simulate_sde(gs, 2000.0, 0.02, 0.0, seed=42)
-    burn = len(res.positions) // 20
-    assert np.var(res.positions[burn:]) == pytest.approx(0.5, abs=0.07)
-
-
-def test_sde_reflections_counted(gs):
-    res = simulate_sde(gs, 50.0, 0.25, 7.5, seed=2, noise_scale=4.0)
-    assert res.reflections >= 1
-    assert np.max(np.abs(res.positions)) <= 8.0
-
-
-def test_sde_radial_mode():
-    gs = ground_state_radial(coulomb_3d(), radial_grid(40.0, 4000))
-    res = simulate_sde(gs, 5.0, 0.01, [1.0, 0.0, 0.0], seed=7)
-    assert res.positions.shape == (501, 3)
-    assert np.all(np.isfinite(res.positions))
-
-
 def test_fkf_normalization_and_residual(gs):
     assert verify_fkf(gs, lambda x: np.ones_like(x), 1.0, 0.1) < 1e-8
     assert verify_fkf(gs, lambda x: x * x, 1.0, 0.1) < 5e-3
@@ -199,17 +155,3 @@ def test_fkf_convergence_order(gs):
     assert rep.chain_value == pytest.approx(0.5, abs=1e-3)
     assert rep.order >= 2.0
     assert all(r < 5e-3 for r in rep.residuals[1:])
-
-
-def test_ensemble_io_roundtrip(gs, k01, tmp_path):
-    tg = TimeGrid(0.5, 0.1)
-    ens = sample_paths(gs, k01, tg, 10, seed=1)
-    f = tmp_path / "ens.bin"
-    save_ensemble(ens, f)
-    back = load_ensemble(f)
-    assert np.array_equal(back.positions, ens.positions)
-    assert back.timegrid.n_times == tg.n_times
-    csv = tmp_path / "p.csv"
-    export_path_csv(ens.path(0), csv)
-    data = np.loadtxt(csv, delimiter=",", skiprows=1)
-    assert np.allclose(data[:, 1], ens.positions[0])

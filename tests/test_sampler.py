@@ -5,18 +5,19 @@ import functools
 import numpy as np
 import pytest
 
-from pathgibbs.grids import SpaceGrid, TimeGrid, Path
+from pathgibbs.grids import SpaceGrid, TimeGrid
 from pathgibbs.potentials import (harmonic, zero_pair, constant_pair, nelson_pair, step_pair,
                                   pair_from_table)
 from pathgibbs.spectral import ground_state, heat_kernel, default_grid
 from pathgibbs.reference import stationary_weights, bridge_marginal, make_rng, sample_paths
-from pathgibbs.energy import SquareRegion, interaction_energy
+from pathgibbs.energy import (FrameRegion, HalfLineRegion, InfiniteFrameRegion, SquareRegion,
+                              StripRegion, doubled_layout, pair_action)
 from pathgibbs.stats import total_variation, ks_statistic_atomic
 from pathgibbs.sampler import (
     Smeared, Pinned, GibbsSpec, ChainConfig,
     run_ensemble, empirical_node_marginals, brute_force_measure,
     window_conditional_exact, window_conditional_chain,
-    single_move_distribution, interaction_action, _enumerated_columns, _Engine,
+    single_move_distribution, _enumerated_columns, _Engine,
     _initial_positions, _run_engine,
 )
 from pathgibbs import sampler
@@ -118,15 +119,22 @@ CATALOG_PAIRS = [nelson_pair(0.7), step_pair(0.9), constant_pair(0.4), TABLE_PAI
 
 @pytest.mark.parametrize("w", CATALOG_PAIRS)
 def test_quadrature_matches_energy_module(w):
-    spec = spec_wide(w, T=2.0)
-    tg = spec.timegrid
+    # pair_action against an ordered-pair reference through `evaluate` on every
+    # layout the package integrates over; the lag + 2 tau case has a nonzero
+    # diagonal lag, where W(0, 0) * trace(mask) would be wrong
+    tg = TimeGrid(2.0, 0.25)
     rng = make_rng(5)
-    positions = rng.normal(size=tg.n_times)
-    mask = SquareRegion(tg.T).weights(tg)
-    lags = np.abs(tg.times[:, None] - tg.times[None, :])
-    batched = interaction_action(spec.w, positions[None, :], mask, lags)[0]
-    direct = interaction_energy(spec.w, Path(tg, positions), SquareRegion(tg.T))
-    assert abs(batched - direct) < 1e-12
+    paths = rng.normal(size=(3, tg.n_times))
+    regions = [SquareRegion(2.0), FrameRegion(1.0, 2.0), StripRegion(1.0, 2.0),
+               InfiniteFrameRegion(1.0, 2.0), HalfLineRegion(2.0)]
+    layouts = [(paths, r.weights(tg), tg.lags()) for r in regions]
+    layouts.append((paths, HalfLineRegion(2.0).weights(tg), tg.lags() + 2.0 * 0.5))
+    mask, lags = doubled_layout(tg.n, tg.dt)
+    layouts.append((rng.normal(size=(3, 2 * tg.n + 2)), mask, lags))
+    for x, mask, lags in layouts:
+        vals = w.evaluate(x[:, :, None], x[:, None, :], lags)
+        reference = -np.einsum("ij,cij->c", mask, vals)
+        assert np.max(np.abs(pair_action(w, x, mask, lags) - reference)) < 1e-12
 
 
 @pytest.mark.parametrize("w", CATALOG_PAIRS)
@@ -141,8 +149,8 @@ def test_incremental_site_update_matches_full_recompute(w):
         z = rng.normal(scale=1.2, size=16)
         new = engine.pos.copy()
         new[:, i] = z
-        full = (interaction_action(w, new, mask, engine.lags)
-                - interaction_action(w, engine.pos, mask, engine.lags))
+        full = (pair_action(w, new, mask, engine.lags)
+                - pair_action(w, engine.pos, mask, engine.lags))
         assert np.max(np.abs(engine._delta_h_single(i, z) - full)) < 1e-10
 
 
@@ -157,8 +165,8 @@ def test_incremental_block_update_matches_full_recompute(w):
     znew = rng.normal(scale=1.1, size=(12, length))
     new = engine.pos.copy()
     new[:, s:s + length] = znew
-    full = (interaction_action(w, new, engine.mask, engine.lags)
-            - interaction_action(w, engine.pos, engine.mask, engine.lags))
+    full = (pair_action(w, new, engine.mask, engine.lags)
+            - pair_action(w, engine.pos, engine.mask, engine.lags))
     assert np.max(np.abs(engine._delta_h_block(s, length, znew) - full)) < 1e-10
 
 
@@ -352,6 +360,10 @@ def test_window_conditional_matches_brute_force():
     assert list(wc.window_indices) == [2, 3, 4]
     exact = table.conditional_window([2, 3, 4], out)
     assert total_variation(wc.probs.reshape(-1), exact.reshape(-1)) < 1e-10
+    # no interior, off the grid, no exterior, beyond T
+    for s_half in (0.0, 0.3, 1.5, 2.0):
+        with pytest.raises(ValueError, match="window"):
+            window_conditional_exact(spec, s_half, out)
 
 
 def test_window_conditional_zero_w_equals_bridge():

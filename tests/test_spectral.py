@@ -12,8 +12,6 @@ from pathgibbs.spectral import (
     ground_state,
     ground_state_radial,
     heat_kernel,
-    load_cache,
-    save_cache,
 )
 
 
@@ -134,17 +132,3 @@ def test_row_sums_bounded(harmonic_gs, harmonic_kernel):
     v_shifted = harmonic_gs.v_grid - harmonic_gs.energy
     bound = math.exp(-harmonic_kernel.dt * v_shifted.min())
     assert harmonic_kernel.matrix.sum(axis=1).max() <= bound + 1e-12
-
-
-def test_cache_roundtrip(tmp_path, harmonic_gs, harmonic_kernel):
-    f = tmp_path / "spec.bin"
-    save_cache(harmonic_gs, harmonic_kernel, f)
-    gs, K = load_cache(f)
-    assert gs.energy == harmonic_gs.energy
-    assert np.array_equal(gs.psi, harmonic_gs.psi)
-    assert np.array_equal(K.matrix, harmonic_kernel.matrix)
-    assert gs.grid.points == harmonic_gs.grid.points
-    with pytest.raises(ValueError):
-        bad = tmp_path / "junk.bin"
-        bad.write_bytes(b"not a cache")
-        load_cache(bad)
