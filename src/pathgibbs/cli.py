@@ -29,7 +29,7 @@ from .stats import ks_statistic_atomic, total_variation
 from .sampler import (GibbsSpec, ChainConfig, Smeared, Pinned, run_ensemble,
                       brute_force_measure, window_conditional_exact,
                       empirical_node_marginals, write_snapshots_jsonl,
-                      MAX_ORACLE_CONFIGS)
+                      check_enumerable)
 from .diagnostics import (tightness_profile, window_convergence_exact,
                           window_convergence_mc, hitting_time_moment,
                           ratio_bound_check, path_growth_check, psi_tail)
@@ -452,13 +452,6 @@ def _cmd_energy_check(cfg, out_dir):
     return summary, checks
 
 
-def _window_fits_exactly(cfg, t_values) -> bool:
-    m = cfg["grid"]["points"]
-    dt = cfg["grid"]["dt"]
-    return all(m ** (2 * int(round(t / dt)) + 1) <= MAX_ORACLE_CONFIGS
-               for t in t_values)
-
-
 def _cmd_diagnose(cfg, out_dir):
     gs, kernel, spec = _chain_model(cfg)
     w = spec.w
@@ -488,17 +481,20 @@ def _cmd_diagnose(cfg, out_dir):
     if "window" in diag["reports"]:
         ladder = diag["t_ladder"]
         s_half = cfg["grid"]["s_half"]
-        if _window_fits_exactly(cfg, ladder):
-            report = window_convergence_exact(gs, kernel, w, ladder, s_half)
-            ok = report.strictly_decreasing
-            checks.append(_check("window-decreasing", ok))
-            route = "exact"
-        else:
+        slices = [TimeGrid(t, kernel.dt).n_times for t in ladder]
+        try:
+            # the exact route enumerates a full path table per rung
+            for n_t in slices:
+                check_enumerable(gs.grid.points, n_t, n_t)
+        except ValueError:
             report = window_convergence_mc(gs, kernel, w, ladder, s_half,
                                            _chain_config(cfg, mode="grid"))
-            ok = report.nonincreasing_within_ci
-            checks.append(_check("window-nonincreasing-ci", ok))
+            checks.append(_check("window-nonincreasing-ci", report.nonincreasing_within_ci))
             route = "mc"
+        else:
+            report = window_convergence_exact(gs, kernel, w, ladder, s_half)
+            checks.append(_check("window-decreasing", report.strictly_decreasing))
+            route = "exact"
         summary["window"] = {
             "route": route,
             "distances": [{"t_small": d.t_small, "t_large": d.t_large,

@@ -20,13 +20,14 @@ from scipy.special import logsumexp
 from .grids import TimeGrid
 from .potentials import PairPotential
 from .spectral import GroundState, HeatKernel
-from .reference import make_rng, stationary_weights, transfer_matrix, _sample_rows, PathEnsemble
+from .reference import make_rng, stationary_weights, transfer_matrix, sample_rows, PathEnsemble
 from .stats import (total_variation, integrated_autocorr_time,
                     proportion_from_indicators, upward_trend_pvalue, log_log_slope,
                     wilson_interval)
-from .energy import doubled_layout, pair_action
+from .energy import doubled_layout
 from .sampler import (GibbsSpec, ChainConfig, Smeared, Pinned, run_ensemble,
-                      brute_force_measure, _enumerated_columns, MAX_ORACLE_CONFIGS)
+                      brute_force_measure, check_enumerable, enumerate_configs,
+                      enumerated_log_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +209,10 @@ def window_convergence_mc(gs: GroundState, kernel: HeatKernel, w: PairPotential,
     for T in t_values:
         spec = GibbsSpec(gs, kernel, w, TimeGrid(T, kernel.dt), Smeared())
         ids = spec.timegrid.window_indices(s_half)
-        if m ** ids.size > MAX_ORACLE_CONFIGS:
-            raise ValueError("window occupancy table would exceed the size cap")
+        check_enumerable(m, ids.size)
         result = run_ensemble(spec, config, record_indices=ids)
-        codes = np.zeros(result.positions.shape[0] * result.positions.shape[1],
-                         dtype=np.int64)
-        for col in range(ids.size):
-            nodes = gs.grid.nearest_index(result.positions[:, :, col].reshape(-1))
-            codes = codes * m + nodes
+        nodes = gs.grid.nearest_index(result.positions).reshape(-1, ids.size)
+        codes = np.ravel_multi_index(tuple(nodes.T), (m,) * ids.size)
         probs = np.bincount(codes, minlength=m ** ids.size) / codes.size
         iat = integrated_autocorr_time(result.chain_series(ids[ids.size // 2]).reshape(-1))
         n_eff = codes.size / iat
@@ -315,8 +312,8 @@ def hitting_time_moment(gs: GroundState, kernel: HeatKernel, start,
         if idx.size == 0:
             break
         for comp in (0, 1):
-            state[idx, comp] = _sample_rows(cdf_rows, state[idx, comp],
-                                            rng.random(idx.size))
+            state[idx, comp] = sample_rows(cdf_rows, state[idx, comp],
+                                           rng.random(idx.size))
         pos = grid.x[state[idx]]
         hit = np.hypot(pos[:, 0], pos[:, 1]) <= radius
         tau[idx[hit]] = k * kernel.dt
@@ -365,37 +362,27 @@ def doubled_moment_exact(gs: GroundState, kernel: HeatKernel, w: PairPotential,
     n_steps = int(round(T / kernel.dt))
     if abs(n_steps * kernel.dt - T) > 1e-9 or n_steps < 1:
         raise ValueError("T must be a positive multiple of the kernel step")
-    if m ** (2 * n_steps + 2) > MAX_ORACLE_CONFIGS:
-        raise ValueError("doubled enumeration exceeds the oracle size cap")
+    check_enumerable(m, 2 * n_steps + 2)
     if w.kind in ("zero", "constant"):
         # a configuration-independent interaction factors out of the
         # conditional expectation
-        area = (n_steps * kernel.dt) ** 2 if n_steps else 0.0
-        value = np.exp(-4.0 * (w.value if w.kind == "constant" else 0.0) * area)
-        return np.full((m, m), value)
+        value = w.value if w.kind == "constant" else 0.0
+        return np.full((m, m), np.exp(-4.0 * value * (n_steps * kernel.dt) ** 2))
 
-    # column order of the enumeration: both starts, then leg a's steps, then leg b's
-    cols = _enumerated_columns(m, 2 * n_steps + 2)
-    leg_a = [0, *range(2, n_steps + 2)]
-    leg_b = [1, *range(n_steps + 2, 2 * n_steps + 2)]
-    p = transfer_matrix(gs, kernel)
+    # columns in doubled_layout order: leg a's instants, then leg b's; the
+    # enumeration runs over both starts first, so each start pair owns a
+    # contiguous block of rows
+    b0 = n_steps + 1
+    starts_first = [0, b0, *range(1, b0), *range(b0 + 1, 2 * b0)]
+    cols = enumerate_configs(m, np.zeros(2 * b0, dtype=int), starts_first)
+    steps = [pair for k in range(n_steps) for pair in ((k, k + 1), (b0 + k, b0 + k + 1))]
     with np.errstate(divide="ignore"):
-        log_p = np.log(p)
-    log_ref = np.zeros(cols.shape[0])
-    for k in range(n_steps):
-        log_ref += log_p[cols[:, leg_a[k]], cols[:, leg_a[k + 1]]]
-        log_ref += log_p[cols[:, leg_b[k]], cols[:, leg_b[k + 1]]]
-
+        log_p = np.log(transfer_matrix(gs, kernel))
     mask, lags = doubled_layout(n_steps, kernel.dt)
-    layout = leg_a + leg_b
-    h_vals = np.empty(cols.shape[0])
-    chunk = 2 ** 15   # keeps the per-chunk pair arrays cache-sized
-    for lo in range(0, cols.shape[0], chunk):
-        h_vals[lo:lo + chunk] = pair_action(w, grid.x[cols[lo:lo + chunk][:, layout]],
-                                            mask, lags)
+    log_ref, log_weights = enumerated_log_weights(cols, log_p, steps, None, w, grid.x, mask, lags)
 
     per_start = m ** (2 * n_steps)
-    lw = (log_ref + h_vals).reshape(m * m, per_start)
+    lw = log_weights.reshape(m * m, per_start)
     lr = log_ref.reshape(m * m, per_start)
     return np.exp(logsumexp(lw, axis=1) - logsumexp(lr, axis=1)).reshape(m, m)
 

@@ -145,7 +145,7 @@ def energy_report(w: PairPotential, path: Path, region: Region) -> dict:
 def _stack(paths: list) -> tuple[TimeGrid, np.ndarray]:
     """The one time grid of an ensemble and its positions, one path per row."""
     tg = paths[0].timegrid
-    if any(p.timegrid.n != tg.n or p.timegrid.dt != tg.dt for p in paths):
+    if any(p.timegrid != tg for p in paths):
         raise ValueError("paths must share one time grid")
     return tg, np.stack([p.positions for p in paths])
 

@@ -16,7 +16,7 @@ class SpaceGrid:
     lower: float
     upper: float
     points: int
-    x: np.ndarray = field(init=False, repr=False)
+    x: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.lower < self.upper:
@@ -57,7 +57,7 @@ class TimeGrid:
     T: float
     dt: float
     n: int = field(init=False)
-    times: np.ndarray = field(init=False, repr=False)
+    times: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.T <= 0 or self.dt <= 0:

@@ -73,7 +73,7 @@ def transfer_matrix(gs: GroundState, kernel: HeatKernel) -> np.ndarray:
     return p
 
 
-def _sample_rows(cdf_rows: np.ndarray, current: np.ndarray, u: np.ndarray) -> np.ndarray:
+def sample_rows(cdf_rows: np.ndarray, current: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Vectorized inverse-CDF step: for each path, draw from its current row.
 
     Groups paths by current node so each distinct row is searched once.
@@ -104,9 +104,6 @@ class PathEnsemble:
     def __len__(self) -> int:
         return self.positions.shape[0]
 
-    def paths(self):
-        return [self.path(i) for i in range(len(self))]
-
 
 def sample_paths(gs: GroundState, kernel: HeatKernel, timegrid: TimeGrid,
                  n_paths: int, seed, mode: str = "grid") -> PathEnsemble:
@@ -129,7 +126,7 @@ def sample_paths(gs: GroundState, kernel: HeatKernel, timegrid: TimeGrid,
     idx[:, 0] = np.searchsorted(np.cumsum(pi), rng.random(n_paths), side="right")
     idx[:, 0] = np.minimum(idx[:, 0], pi.size - 1)
     for t in range(1, n_times):
-        idx[:, t] = _sample_rows(cdf_rows, idx[:, t - 1], rng.random(n_paths))
+        idx[:, t] = sample_rows(cdf_rows, idx[:, t - 1], rng.random(n_paths))
     positions = gs.grid.x[idx]
     if mode == "interp":
         jitter = (rng.random(idx.shape) - 0.5) * gs.grid.h

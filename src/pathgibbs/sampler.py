@@ -9,7 +9,10 @@ the acceptance ratio only involves interaction differences.
 Small instances (few space nodes, few time slices) are enumerated exactly:
 `brute_force_measure` returns the full normalized table, and
 `window_conditional_exact` the exact conditional law of a time window given
-the configuration outside it.  These serve as oracles for the chain.
+the configuration outside it.  These serve as oracles for the chain.  Every
+enumeration in the package, the doubled moments of the diagnostics
+included, asks one size rule (`check_enumerable`) and gets its reference
+log-mass and pair action from one chunked pass (`enumerated_log_weights`).
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +24,7 @@ from scipy.special import logsumexp
 
 from .grids import SpaceGrid, TimeGrid
 from .potentials import PairPotential
-from .spectral import GroundState, HeatKernel, ground_state, heat_kernel
+from .spectral import GroundState, HeatKernel
 from .reference import make_rng, sample_paths, sample_bridge
 from .energy import FrameRegion, SquareRegion, pair_action
 
@@ -53,7 +56,7 @@ class GibbsSpec:
         if abs(self.kernel.dt - self.timegrid.dt) > 1e-12:
             raise ValueError(
                 f"kernel step {self.kernel.dt} does not match time step {self.timegrid.dt}")
-        if self.gs.grid.points != self.kernel.grid.points:
+        if self.gs.grid != self.kernel.grid:
             raise ValueError("ground state and kernel live on different grids")
         if isinstance(self.boundary, Pinned):
             self.gs.grid.index_of(self.boundary.left)
@@ -64,15 +67,6 @@ class GibbsSpec:
     @property
     def grid(self) -> SpaceGrid:
         return self.gs.grid
-
-    @classmethod
-    def build(cls, v, w, T, dt, boundary=None, grid=None):
-        """Solve the spectral problem for `v` and assemble a spec."""
-        from .spectral import default_grid
-        grid = grid if grid is not None else default_grid()
-        gs = ground_state(v, grid)
-        return cls(gs, heat_kernel(gs, dt), w, TimeGrid(T, dt),
-                   boundary if boundary is not None else Smeared())
 
 
 @dataclass
@@ -365,6 +359,23 @@ def write_snapshots_jsonl(result: EnsembleResult, file) -> None:
 MAX_ORACLE_CONFIGS = 10 ** 7
 MAX_ORACLE_NODES = 9
 MAX_ORACLE_TIMES = 7
+ORACLE_CHUNK = 2 ** 15   # rows per pass; keeps the per-chunk pair arrays cache-sized
+
+
+def check_enumerable(m: int, sites: int, n_times: int | None = None) -> None:
+    """The one size rule of exact enumeration; raises ValueError if broken.
+
+    Every enumeration over `sites` columns of `m` space nodes holds at most
+    MAX_ORACLE_CONFIGS configurations.  A full path table (`n_times` given)
+    also needs at most MAX_ORACLE_NODES nodes and MAX_ORACLE_TIMES slices.
+    """
+    if n_times is not None and m > MAX_ORACLE_NODES:
+        raise ValueError(f"oracle instances need at most {MAX_ORACLE_NODES} space nodes, got {m}")
+    if n_times is not None and n_times > MAX_ORACLE_TIMES:
+        raise ValueError(f"oracle instances need at most {MAX_ORACLE_TIMES} time slices, got {n_times}")
+    if m ** sites > MAX_ORACLE_CONFIGS:
+        raise ValueError(f"{m}**{sites} configurations exceed the oracle size cap "
+                         f"{MAX_ORACLE_CONFIGS}")
 
 
 @dataclass
@@ -383,94 +394,94 @@ class BruteForceTable:
     log_z: float
     ref_log_mass: float
 
-    @property
-    def node_values(self) -> np.ndarray:
-        return self.spec.grid.x
-
     def marginal(self, time_index: int) -> np.ndarray:
         return self.window_marginal([time_index]).reshape(-1)
 
     def window_marginal(self, time_indices) -> np.ndarray:
-        m = self.spec.grid.points
         ids = list(time_indices)
-        if m ** len(ids) > MAX_ORACLE_CONFIGS:
-            raise ValueError("window marginal table would exceed the size cap")
-        codes = np.zeros(self.configs.shape[0], dtype=np.int64)
-        for t in ids:
-            codes = codes * m + self.configs[:, t]
-        flat = np.bincount(codes, weights=self.probs, minlength=m ** len(ids))
-        return flat.reshape((m,) * len(ids))
+        check_enumerable(self.spec.grid.points, len(ids))
+        return self._law(ids, slice(None))
 
     def conditional_window(self, window_indices, outside_config) -> np.ndarray:
         """Exact law of the window given the configuration elsewhere."""
-        outside_config = np.asarray(outside_config)
-        window_indices = list(window_indices)
-        keep = np.ones(self.configs.shape[0], dtype=bool)
-        for t in range(self.configs.shape[1]):
-            if t in window_indices:
-                continue
-            keep &= self.configs[:, t] == outside_config[t]
+        ids = list(window_indices)
+        rest = np.setdiff1d(np.arange(self.configs.shape[1]), ids)
+        keep = (self.configs[:, rest] == np.asarray(outside_config)[rest]).all(axis=1)
         total = self.probs[keep].sum()
         if total <= 0.0:
             raise ValueError("conditioning configuration has zero probability")
+        return self._law(ids, keep) / total
+
+    def _law(self, ids: list, keep) -> np.ndarray:
+        """Probability mass of the `keep` rows per joint node value at `ids`."""
         m = self.spec.grid.points
-        codes = np.zeros(int(keep.sum()), dtype=np.int64)
-        for t in window_indices:
-            codes = codes * m + self.configs[keep, t]
-        flat = np.bincount(codes, weights=self.probs[keep], minlength=m ** len(window_indices))
-        return (flat / total).reshape((m,) * len(window_indices))
+        codes = np.ravel_multi_index(tuple(self.configs[keep][:, ids].T), (m,) * len(ids))
+        flat = np.bincount(codes, weights=self.probs[keep], minlength=m ** len(ids))
+        return flat.reshape((m,) * len(ids))
 
 
-def _enumerated_columns(m: int, count: int) -> np.ndarray:
-    """All m**count node configurations of `count` sites, in lexicographic order."""
-    out = np.empty((m,) * count + (count,), dtype=np.int8)
-    for k in range(count):
-        axis = [1] * count
-        axis[k] = m
-        out[..., k] = np.arange(m, dtype=np.int8).reshape(axis)
-    return out.reshape(-1, count)
+def enumerate_configs(m: int, base, sites) -> np.ndarray:
+    """Copies of the node row `base` with every assignment to the columns
+    `sites`, lexicographic in the order `sites` lists them; the entries of
+    `base` at `sites` are ignored.  Node indices are int8 whenever they fit
+    (m <= 128)."""
+    sites = list(sites)
+    check_enumerable(m, len(sites))
+    base = np.asarray(base)
+    held = np.delete(base, sites)
+    if np.any((held < 0) | (held >= m)):
+        raise ValueError(f"node indices must lie in [0, {m})")
+    dtype = np.min_scalar_type(-m)
+    configs = np.tile(base.astype(dtype), (m ** len(sites), 1))
+    view = configs.reshape((m,) * len(sites) + (base.size,))   # one axis per site
+    for site, nodes in zip(sites, np.indices((m,) * len(sites), dtype=dtype, sparse=True)):
+        view[..., site] = nodes
+    return configs
+
+
+def enumerated_log_weights(configs: np.ndarray, log_step: np.ndarray, steps, ends,
+                           w: PairPotential, x: np.ndarray, mask: np.ndarray,
+                           lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference log-mass and log-weight of every enumerated configuration.
+
+    Rows of `configs` are node indices in the column layout of `mask` and
+    `lags`.  A row's reference log-mass sums log_step[a, b] over the column
+    pairs (a, b) in `steps`, in that order, plus, unless `ends` is None,
+    ends[0] at its first node and ends[1] at its last.  Its log-weight adds
+    the pair action at positions x[row].  Both come from one pass over
+    chunks of ORACLE_CHUNK rows.
+    """
+    log_ref, log_weights = np.zeros(configs.shape[0]), np.empty(configs.shape[0])
+    for lo in range(0, configs.shape[0], ORACLE_CHUNK):
+        rows = configs[lo:lo + ORACLE_CHUNK]
+        ref = log_ref[lo:lo + ORACLE_CHUNK]   # a view, summed in place
+        for a, b in steps:
+            ref += log_step[rows[:, a], rows[:, b]]
+        if ends is not None:
+            ref += ends[0][rows[:, 0]] + ends[1][rows[:, -1]]
+        # column-major positions are already pair_action's one-row-per-slice layout
+        positions = x[np.asfortranarray(rows)]
+        np.add(ref, pair_action(w, positions, mask, lags), out=log_weights[lo:lo + ORACLE_CHUNK])
+    return log_ref, log_weights
 
 
 def brute_force_measure(spec: GibbsSpec) -> BruteForceTable:
     """Enumerate every configuration of a small instance exactly."""
     grid, tg = spec.grid, spec.timegrid
     m, n_t = grid.points, tg.n_times
-    if m > MAX_ORACLE_NODES:
-        raise ValueError(f"oracle instances need at most {MAX_ORACLE_NODES} space nodes, got {m}")
-    if n_t > MAX_ORACLE_TIMES:
-        raise ValueError(f"oracle instances need at most {MAX_ORACLE_TIMES} time slices, got {n_t}")
-    pinned = isinstance(spec.boundary, Pinned)
-    free = n_t - 2 if pinned else n_t
-    if m ** free > MAX_ORACLE_CONFIGS:
-        raise ValueError("free configuration count exceeds the oracle size cap")
-
-    configs = np.empty((m ** free, n_t), dtype=np.int8)
-    if pinned:
-        configs[:, 0] = grid.index_of(spec.boundary.left)
-        configs[:, -1] = grid.index_of(spec.boundary.right)
-        configs[:, 1:-1] = _enumerated_columns(m, free)
-    else:
-        configs[:] = _enumerated_columns(m, free)
-
     with np.errstate(divide="ignore"):
         log_k = np.log(spec.kernel.matrix)
         log_psi = np.log(spec.gs.psi)
-    steps = np.zeros(configs.shape[0])
-    for k in range(n_t - 1):
-        steps += log_k[configs[:, k], configs[:, k + 1]]
-    if pinned:
-        log_ref = steps
-    else:
-        log_ref = np.log(grid.h) + log_psi[configs[:, 0]] + log_psi[configs[:, -1]] + steps
-
-    lags = tg.lags()
-    mask = SquareRegion(tg.T).weights(tg)
-    h_vals = np.empty(configs.shape[0])
-    chunk = 2 ** 15   # keeps the per-chunk pair arrays cache-sized
-    for lo in range(0, configs.shape[0], chunk):
-        h_vals[lo:lo + chunk] = pair_action(spec.w, grid.x[configs[lo:lo + chunk]], mask, lags)
-
-    log_weights = log_ref + h_vals
+    base, free = np.zeros(n_t, dtype=int), range(n_t)
+    ends = (np.log(grid.h) + log_psi, log_psi)
+    if isinstance(spec.boundary, Pinned):
+        base[[0, -1]] = grid.index_of(spec.boundary.left), grid.index_of(spec.boundary.right)
+        free, ends = range(1, n_t - 1), None
+    check_enumerable(m, len(free), n_t)
+    configs = enumerate_configs(m, base, free)
+    log_ref, log_weights = enumerated_log_weights(
+        configs, log_k, [(k, k + 1) for k in range(n_t - 1)], ends,
+        spec.w, grid.x, SquareRegion(tg.T).weights(tg), tg.lags())
     ref_log_mass = float(logsumexp(log_ref))
     norm = float(logsumexp(log_weights))
     probs = np.exp(log_weights - norm)
@@ -519,24 +530,14 @@ def window_conditional_exact(spec: GibbsSpec, s_half: float,
     """
     grid, tg = spec.grid, spec.timegrid
     ids = _window_interior(tg, s_half)
-    m = grid.points
-    if m ** ids.size > MAX_ORACLE_CONFIGS:
-        raise ValueError("window enumeration exceeds the oracle size cap")
-    outside_config = np.asarray(outside_config, dtype=np.int64)
-    composite = np.tile(outside_config, (m ** ids.size, 1))
-    composite[:, ids] = _enumerated_columns(m, ids.size)
-
+    composite = enumerate_configs(grid.points, outside_config, ids)
     with np.errstate(divide="ignore"):
         log_k = np.log(spec.kernel.matrix)
-    log_ref = np.zeros(composite.shape[0])
-    for k in range(ids[0] - 1, ids[-1] + 1):
-        log_ref += log_k[composite[:, k], composite[:, k + 1]]
-
     frame = FrameRegion(s_half, tg.T)
-    h_vals = pair_action(spec.w, grid.x[composite], frame.weights(tg), tg.lags())
-
-    log_weights = log_ref + h_vals
-    shape = (m,) * ids.size
+    log_ref, log_weights = enumerated_log_weights(
+        composite, log_k, [(k, k + 1) for k in range(ids[0] - 1, ids[-1] + 1)], None,
+        spec.w, grid.x, frame.weights(tg), tg.lags())
+    shape = (grid.points,) * ids.size
     probs = np.exp(log_weights - logsumexp(log_weights)).reshape(shape)
     bridge = np.exp(log_ref - logsumexp(log_ref)).reshape(shape)
     return WindowConditional(ids, probs, bridge, frame.envelope_bound(spec.w))

@@ -42,7 +42,7 @@ is 5e-113); at dt = 0.25 the far corners (about 8e-205) are.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -124,16 +124,6 @@ class GroundState:
     operator: Tridiagonal
     v_grid: np.ndarray
     radial: bool = False
-    _log_psi: np.ndarray = field(init=False, repr=False, default=None)
-
-    def psi_at(self, x):
-        """Linear interpolation of psi between grid nodes (0 outside)."""
-        return np.interp(x, self.grid.x, self.psi, left=0.0, right=0.0)
-
-    def log_psi(self) -> np.ndarray:
-        if self._log_psi is None:
-            self._log_psi = np.log(self.psi)
-        return self._log_psi
 
     def residual(self) -> float:
         """Max-norm of the shifted eigenvalue equation (H - E0) psi = 0."""

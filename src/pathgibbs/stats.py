@@ -92,12 +92,6 @@ class ProportionEstimate:
         # 95% normal interval
         return 1.96 * self.stderr
 
-    @property
-    def relative_half_width(self) -> float:
-        if self.value == 0.0:
-            return math.inf
-        return self.half_width / self.value
-
 
 def proportion_from_indicators(indicators) -> ProportionEstimate:
     """Mean and autocorrelation-adjusted stderr of a 0/1 chain series."""

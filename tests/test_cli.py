@@ -183,6 +183,20 @@ def test_diagnose_ratio_and_window(tmp_path):
     assert len(summary["ratio"]["m_hats"]) == 3
 
 
+@pytest.mark.parametrize("extra", [
+    {"grid.points": 3, "diagnostics.t_ladder": [1.0, 2.0]},    # 9 time slices
+    {"grid.points": 11, "diagnostics.t_ladder": [0.5, 1.0]},   # 11 space nodes
+], ids=["slices", "nodes"])
+def test_diagnose_window_falls_back_to_mc_beyond_the_oracle(tmp_path, extra):
+    config = write_config(tmp_path / "cfg.json",
+                          **small_instance({"diagnostics.reports": ["window"],
+                                            "run.sweeps": 200, "run.burnin": 50,
+                                            **extra}))
+    code, out = run_cli(tmp_path, "diagnose", config)
+    assert code == 0
+    assert load_summary(out, "diagnose")["window"]["route"] == "mc"
+
+
 def test_conditions_nelson_monotone_holds(tmp_path):
     import math
     config = write_config(tmp_path / "cfg.json",

@@ -27,6 +27,15 @@ def test_nearest_index_clips_to_range():
     assert np.all(g.nearest_index([-5.0, 5.0]) == [0, 10])
 
 
+def test_grids_compare_by_defining_fields():
+    assert TimeGrid(1.0, 0.5) == TimeGrid(1.0, 0.5)
+    assert TimeGrid(1.0, 0.5) != TimeGrid(1.5, 0.5)
+    assert TimeGrid(1.0, 0.5) != TimeGrid(1.0, 0.25)
+    assert SpaceGrid(-2.0, 2.0, 5) == SpaceGrid(-2.0, 2.0, 5)
+    assert SpaceGrid(-2.0, 2.0, 5) != SpaceGrid(-3.0, 3.0, 5)
+    assert SpaceGrid(-2.0, 2.0, 5) != SpaceGrid(-2.0, 2.0, 7)
+
+
 def test_radial_grid_excludes_origin():
     g = radial_grid(4.0, 8)
     assert g.x[0] == pytest.approx(0.5)

@@ -4,6 +4,7 @@ import functools
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from pathgibbs.grids import SpaceGrid, TimeGrid
 from pathgibbs.potentials import (harmonic, zero_pair, constant_pair, nelson_pair, step_pair,
@@ -17,7 +18,7 @@ from pathgibbs.sampler import (
     Smeared, Pinned, GibbsSpec, ChainConfig,
     run_ensemble, empirical_node_marginals, brute_force_measure,
     window_conditional_exact, window_conditional_chain,
-    single_move_distribution, _enumerated_columns, _Engine,
+    single_move_distribution, enumerate_configs, _Engine,
     _initial_positions, _run_engine,
 )
 from pathgibbs import sampler
@@ -105,6 +106,29 @@ def test_brute_force_size_caps():
         brute_force_measure(GibbsSpec(gs, kernel, zero_pair(), TimeGrid(0.5, 0.5)))
     with pytest.raises(ValueError, match="time slices"):
         brute_force_measure(spec_small(zero_pair(), T=2.0))
+
+
+def test_oracle_pass_across_chunk_boundary():
+    # 9 nodes and 5 slices give 59 049 configurations: two chunks of the pass
+    spec = spec_small(nelson_pair(0.5), T=1.0, points=9)
+    table = brute_force_measure(spec)
+    assert table.configs.shape[0] == 9 ** 5 > sampler.ORACLE_CHUNK
+    c = table.configs.astype(np.int64)
+    log_k, log_psi = np.log(spec.kernel.matrix), np.log(spec.gs.psi)
+    log_ref = np.log(spec.grid.h) + log_psi[c[:, 0]] + log_psi[c[:, -1]]
+    for k in range(4):
+        log_ref += log_k[c[:, k], c[:, k + 1]]
+    tg = spec.timegrid
+    action = pair_action(spec.w, spec.grid.x[c], SquareRegion(tg.T).weights(tg), tg.lags())
+    assert np.max(np.abs(table.log_weights - (log_ref + action))) < 1e-12
+    assert abs(table.ref_log_mass - logsumexp(log_ref)) < 1e-12
+
+
+def test_spec_rejects_kernel_on_another_box():
+    gs, _ = small_model()
+    other = ground_state(harmonic(), SpaceGrid(-3.0, 3.0, 5))
+    with pytest.raises(ValueError, match="different grids"):
+        GibbsSpec(gs, heat_kernel(other, 0.5), zero_pair(), TimeGrid(1.0, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +403,16 @@ def test_window_conditional_zero_w_equals_bridge():
     assert np.max(np.abs(wc1.probs - analytic)) < 1e-13
 
 
+def test_window_conditional_beyond_int8_node_indices():
+    # 201 nodes do not fit int8; the one-site window is the two-step bridge
+    spec = spec_small(zero_pair(), T=1.0, points=201)
+    out = np.array([0, 150, 100, 180, 200])
+    wc = window_conditional_exact(spec, 0.5, out)
+    k = spec.kernel.matrix
+    analytic = k[out[1]] * k[:, out[3]]
+    assert np.max(np.abs(wc.probs - analytic / analytic.sum())) < 1e-13
+
+
 def test_window_conditional_ratio_envelope():
     spec = spec_small(nelson_pair(0.5), T=1.5)
     wc = window_conditional_exact(spec, 1.0, outside_config(spec))
@@ -403,6 +437,13 @@ def test_window_conditional_chain_approaches_exact():
 
 
 def test_enumerated_columns_cover_all_configs():
-    cols = _enumerated_columns(3, 2)
+    cols = enumerate_configs(3, [0, 0], [0, 1])
     assert cols.shape == (9, 2)
     assert len({tuple(r) for r in cols}) == 9
+    # columns fill in the order `sites` lists them; the others keep `base`
+    swapped = enumerate_configs(3, [2, 1, 2], [2, 0])
+    assert swapped[:4].tolist() == [[0, 1, 0], [1, 1, 0], [2, 1, 0], [0, 1, 1]]
+    with pytest.raises(ValueError, match="node indices"):
+        enumerate_configs(3, [0, 3], [0])
+    # the entries at `sites` are placeholders
+    assert enumerate_configs(3, [-1, 7], [0, 1]).tolist() == cols.tolist()
