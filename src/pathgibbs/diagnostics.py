@@ -15,7 +15,7 @@ supremum, so constants are fitted and trends tested, never proved.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtri
 
 from .grids import TimeGrid
 from .potentials import PairPotential
@@ -25,7 +25,7 @@ from .stats import (total_variation, integrated_autocorr_time,
                     proportion_from_indicators, upward_trend_pvalue, log_log_slope,
                     wilson_interval)
 from .energy import doubled_layout
-from .sampler import (GibbsSpec, ChainConfig, Smeared, Pinned, run_ensemble,
+from .sampler import (GibbsSpec, ChainConfig, Smeared, run_ensemble,
                       brute_force_measure, check_enumerable, enumerate_configs,
                       enumerated_log_weights)
 
@@ -224,20 +224,6 @@ def window_convergence_mc(gs: GroundState, kernel: HeatKernel, w: PairPotential,
     return WindowReport(s_half, dists)
 
 
-def boundary_sensitivity_exact(gs: GroundState, kernel: HeatKernel, w: PairPotential,
-                               t_values, s_half: float, pin: float = 0.0) -> list:
-    """TV between smeared and pinned window laws per volume (reported only)."""
-    out = []
-    for T in t_values:
-        tg = TimeGrid(T, kernel.dt)
-        ids = tg.window_indices(s_half)
-        free = brute_force_measure(GibbsSpec(gs, kernel, w, tg, Smeared()))
-        pinned = brute_force_measure(GibbsSpec(gs, kernel, w, tg, Pinned(pin, pin)))
-        out.append((T, total_variation(free.window_marginal(ids).reshape(-1),
-                                       pinned.window_marginal(ids).reshape(-1))))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # hitting-time exponential moment for the doubled reference process
 
@@ -414,6 +400,10 @@ def ratio_bound_check(gs: GroundState, kernel: HeatKernel, w: PairPotential,
 # path growth at integer times
 
 
+# family-wise error rate of the growth rows' simultaneous intervals
+GROWTH_FAMILY_ERROR = 0.05
+
+
 @dataclass
 class GrowthRow:
     n: int
@@ -474,15 +464,17 @@ def path_growth_check(ensemble: PathEnsemble, gs: GroundState, gamma: float,
     Compares the per-time exceedance fraction of |x_n| over
     f(n) = (gamma ln n)^(1/(s+1)) with the exact stationary tail, and
     reports a limsup proxy (fraction of paths below the envelope at every
-    tested time).  The envelope is meaningful when gamma exceeds the inverse
-    of the fitted decay exponent.
+    tested time).  The rows share their paths, so each gets a Bonferroni
+    Wilson interval: all of them cover their exact tails with probability
+    at least 1 - GROWTH_FAMILY_ERROR.  The envelope is meaningful when gamma
+    exceeds the inverse of the fitted decay exponent.
     """
     fit = psi_decay_fit(gs, s, fit_window)
     fit_ok = fit.residual <= max_fit_residual
     tg = ensemble.timegrid
     pi = stationary_weights(gs)
     n_paths = ensemble.positions.shape[0]
-    rows = []
+    found = []   # (n, threshold, p_hat, exact) per integer time
     below = np.ones(n_paths, dtype=bool)
     for k, t in enumerate(tg.times):
         n = int(round(t))
@@ -492,11 +484,12 @@ def path_growth_check(ensemble: PathEnsemble, gs: GroundState, gamma: float,
         samples = np.abs(ensemble.positions[:, k])
         exceed = samples > threshold
         below &= ~exceed
-        p_hat = float(exceed.mean())
-        lo, hi = wilson_interval(p_hat, n_paths)
         exact = float(pi[np.abs(gs.grid.x) > threshold].sum())
-        rows.append(GrowthRow(n, threshold, p_hat, lo, hi, exact))
-    if not rows:
+        found.append((n, threshold, float(exceed.mean()), exact))
+    if not found:
         raise ValueError("ensemble contains no integer times n >= 2")
+    z = float(ndtri(1.0 - GROWTH_FAMILY_ERROR / (2 * len(found))))
+    rows = [GrowthRow(n, threshold, p_hat, *wilson_interval(p_hat, n_paths, z), exact)
+            for n, threshold, p_hat, exact in found]
     summ = tail_summability(gs, gamma, s)
     return GrowthReport(fit, gamma, rows, float(below.mean()), summ, fit_ok)

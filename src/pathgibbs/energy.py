@@ -9,7 +9,6 @@ regions truncate at a finite horizon and report an analytic envelope
 bound for the remainder.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,21 +98,6 @@ def StripRegion(S: float, t_max: float) -> Region:
                   4.0 * S, t_max - S)
 
 
-def InfiniteFrameRegion(S: float, t_max: float) -> Region:
-    """((R x [-S,S]) union ([-S,S] x R)) truncated to the square |t|,|s| <= t_max."""
-    if not 0 < S <= t_max:
-        raise ValueError("infinite frame needs 0 < S <= t_max")
-    return Region(f"infinite_frame(S={S}, t_max={t_max})", _cross(S, t_max),
-                  8.0 * S, t_max - S)
-
-
-def HalfLineRegion(T: float) -> Region:
-    """[-T, 0] x [0, T]: the coupling of the two half lines."""
-    if T <= 0:
-        raise ValueError("half-line block needs T > 0")
-    return Region(f"half_line(T={T})", ((1.0, (-T, 0.0), (0.0, T)),))
-
-
 def region_action(w: PairPotential, positions: np.ndarray, tg: TimeGrid,
                   region: Region) -> np.ndarray:
     """`pair_action` over the region for paths on `tg`, one per row."""
@@ -128,44 +112,12 @@ def interaction_energy(w: PairPotential, path: Path, region: Region) -> float:
     return float(region_action(w, path.positions, path.timegrid, region)[0])
 
 
-def energy_report(w: PairPotential, path: Path, region: Region) -> dict:
-    """JSON-ready record: value, envelope bound, truncation interval."""
-    value = interaction_energy(w, path, region)
-    bound = region.envelope_bound(w)
-    tail = region.truncation_tail(w)
-    report = {
-        "region": region.label(),
-        "value": value,
-        "bound": None if math.isinf(bound) else bound,
-        "tail_interval": None if tail == 0.0 else [value - tail, value + tail],
-    }
-    return report
-
-
 def _stack(paths: list) -> tuple[TimeGrid, np.ndarray]:
     """The one time grid of an ensemble and its positions, one path per row."""
     tg = paths[0].timegrid
     if any(p.timegrid != tg for p in paths):
         raise ValueError("paths must share one time grid")
     return tg, np.stack([p.positions for p in paths])
-
-
-def split_interaction(w: PairPotential, path: Path, T: float) -> float:
-    """|quadrature of W over [-T, 0] x [0, T]| for one path."""
-    return abs(interaction_energy(w, path, HalfLineRegion(T)))
-
-
-def estimate_split_interaction(w: PairPotential, paths, T: float) -> float:
-    """Largest half-line interaction magnitude over a path ensemble.
-
-    An empirical lower bound for the supremum over all continuous paths;
-    never a certified supremum.
-    """
-    paths = list(paths)
-    if not paths:
-        raise ValueError("need a nonempty path ensemble")
-    tg, x = _stack(paths)
-    return float(np.max(np.abs(region_action(w, x, tg, HalfLineRegion(T)))))
 
 
 def _shift_index(tg: TimeGrid, tau: float) -> tuple[TimeGrid, np.ndarray]:
@@ -247,40 +199,6 @@ def check_shift_inequality(w: PairPotential, paths, T: float, taus,
     violations = [(int(i), float(taus[j]), float(excess[i, j])) for i, j in bad]
     return ShiftInequalityReport(list(taus), [float(g) for g in worst],
                                  violations, c_star, d_star)
-
-
-@dataclass
-class LagDampingReport:
-    """Half-plane lag-increase comparison: quadrature of
-    W(|s-t|) - W(|s-t| + 2 tau) over [-T,0] x [0,T], fitted L tau + M."""
-
-    taus: list
-    values: np.ndarray
-    l_star: float
-    m_star: float
-
-    @property
-    def all_nonpositive(self) -> bool:
-        return bool(np.max(self.values) <= 1e-12)
-
-
-def check_lag_damping(w: PairPotential, paths, T: float, taus) -> LagDampingReport:
-    """Evaluate the lag-damping integrals on an ensemble sharing one time
-    grid and fit (L, M)."""
-    paths = list(paths)
-    taus = np.asarray(sorted(float(t) for t in taus), dtype=float)
-    if not paths or taus.size == 0 or taus[0] <= 0:
-        raise ValueError("need paths and positive shift values")
-    tg, x = _stack(paths)
-    block = HalfLineRegion(T)
-    base = region_action(w, x, tg, block)
-    mask, lags = block.weights(tg), tg.lags()
-    # sum mask (W(lag) - W(lag + 2 tau)) is the action at lag + 2 tau minus the action at lag
-    values = np.stack([pair_action(w, x, mask, lags + 2.0 * tau) - base for tau in taus],
-                      axis=1)
-    worst = values.max(axis=0)
-    l_star, m_star = _feasible_line(taus, worst)
-    return LagDampingReport(list(taus), values, l_star, m_star)
 
 
 @dataclass

@@ -114,14 +114,6 @@ def site_from_table(x, v, alpha: float, dim: int = 1) -> SitePotential:
     return SitePotential("table", dim=dim, alpha=alpha, table_x=x, table_v=v)
 
 
-def load_site_table(path, alpha: float, dim: int = 1) -> SitePotential:
-    """Site potential from a whitespace-separated two-column text file."""
-    data = np.loadtxt(path)
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise ValueError(f"{path}: expected two numeric columns (x, V)")
-    return site_from_table(data[:, 0], data[:, 1], alpha=alpha, dim=dim)
-
-
 @dataclass
 class PairPotential:
     """Two-time pair potential W(x, y, t) with a declared envelope.
@@ -256,23 +248,6 @@ def pair_from_table(u, t, w, monotone_in_t: bool = False) -> PairPotential:
                          monotone_in_t=monotone_in_t)
 
 
-def load_pair_table(path, monotone_in_t: bool = False) -> PairPotential:
-    """Pair potential from a three-column text file (|x-y|, t, W).
-
-    Rows must enumerate a rectangular (|x-y|, t) product grid.
-    """
-    data = np.loadtxt(path)
-    if data.ndim != 2 or data.shape[1] != 3:
-        raise ValueError(f"{path}: expected three numeric columns (|x-y|, t, W)")
-    u = np.unique(data[:, 0])
-    t = np.unique(data[:, 1])
-    if u.size * t.size != data.shape[0]:
-        raise ValueError(f"{path}: rows do not form a rectangular (|x-y|, t) grid")
-    order = np.lexsort((data[:, 1], data[:, 0]))
-    w = data[order, 2].reshape(u.size, t.size)
-    return pair_from_table(u, t, w, monotone_in_t=monotone_in_t)
-
-
 def interaction_budget(w: PairPotential) -> float:
     """Twice the half-line envelope integral, 2 * int_0^inf envelope(t) dt.
 
@@ -286,19 +261,6 @@ def interaction_budget(w: PairPotential) -> float:
         return 0.0
     head, _ = integrate.quad(w.envelope, 0.0, _ENVELOPE_SPLIT, epsabs=1e-13, limit=400)
     return 2.0 * (head + w.envelope_tail(_ENVELOPE_SPLIT))
-
-
-def verify_envelope(w: PairPotential, xs, ys, ts) -> float:
-    """Worst violation of |W| <= envelope over the product verification grid.
-
-    Nonpositive result means the envelope dominates everywhere on the grid.
-    """
-    xs = np.asarray(xs, dtype=float)[:, None, None]
-    ys = np.asarray(ys, dtype=float)[None, :, None]
-    ts = np.asarray(ts, dtype=float)[None, None, :]
-    vals = np.abs(w.evaluate(xs, ys, ts))
-    env = w.envelope(np.asarray(ts, dtype=float))
-    return float(np.max(vals - env))
 
 
 @dataclass

@@ -25,18 +25,6 @@ def make_rng(seed, *stream) -> np.random.Generator:
         seed, spawn_key=tuple(int(s) for s in stream))))
 
 
-def stationary_density(gs: GroundState) -> np.ndarray:
-    """Pointwise stationary density psi^2 (unit trapezoid mass)."""
-    dens = gs.psi**2
-    w = np.full(gs.grid.points, gs.grid.h)
-    w[0] = w[-1] = 0.5 * gs.grid.h
-    mass = float(dens @ w)
-    if abs(mass - 1.0) > 1e-10:
-        raise ValueError(f"stationary density mass {mass} deviates from 1; "
-                         "box too small for this potential")
-    return dens
-
-
 def stationary_weights(gs: GroundState) -> np.ndarray:
     """Atom masses of the discrete stationary law (sums to 1 exactly)."""
     pi = gs.psi**2 * gs.grid.h
@@ -133,11 +121,6 @@ def sample_paths(gs: GroundState, kernel: HeatKernel, timegrid: TimeGrid,
         positions = np.clip(positions + jitter, gs.grid.lower, gs.grid.upper)
         return PathEnsemble(timegrid, positions, None)
     return PathEnsemble(timegrid, positions, idx)
-
-
-def sample_path(gs: GroundState, kernel: HeatKernel, timegrid: TimeGrid,
-                seed, mode: str = "grid") -> Path:
-    return sample_paths(gs, kernel, timegrid, 1, seed, mode).path(0)
 
 
 def _bridge_law(row: np.ndarray, col: np.ndarray) -> np.ndarray:

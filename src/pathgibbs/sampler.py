@@ -133,9 +133,9 @@ def _sample_categorical_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
 class _Engine:
     """Batched Metropolis-within-Gibbs kernel over a set of chains.
 
-    `frozen` marks time indices that never move (pinned endpoints, or the
-    exterior of a conditioning window); `mask` is the quadrature weight
-    matrix of the interaction region (the full square by default).
+    The interaction region is the full square, and every time index moves
+    except pinned endpoints.  A block needs an anchor on both sides, so
+    block moves never touch the endpoints.
 
     Each chain carries its node indices (`nodes`, the grid cell of every
     position) next to its positions, so proposals gather kernel rows
@@ -144,8 +144,7 @@ class _Engine:
     `sym_w`; the diagonal W(0, 0) terms never change and drop out.
     """
 
-    def __init__(self, spec: GibbsSpec, config: ChainConfig, init: np.ndarray,
-                 mask: np.ndarray | None = None, frozen: np.ndarray | None = None):
+    def __init__(self, spec: GibbsSpec, config: ChainConfig, init: np.ndarray):
         self.spec = spec
         self.w = spec.w
         self.grid = spec.grid
@@ -155,15 +154,9 @@ class _Engine:
         tg = spec.timegrid
         self.n_t = tg.n_times
         self.lags = tg.lags()
-        self.mask = SquareRegion(tg.T).weights(tg) if mask is None else np.asarray(mask)
-        if frozen is None:
-            frozen = np.zeros(self.n_t, dtype=bool)
-            if isinstance(spec.boundary, Pinned):
-                frozen[0] = frozen[-1] = True
-        self.frozen = frozen
-        self.free = np.flatnonzero(~frozen)
-        if self.free.size == 0:
-            raise ValueError("no free time indices to update")
+        self.mask = SquareRegion(tg.T).weights(tg)
+        edge = int(isinstance(spec.boundary, Pinned))   # pinned endpoints never move
+        self.free = np.arange(edge, self.n_t - edge)
         # weight of each unordered pair i != j; the diagonal W(0, 0) terms never change
         offdiag = self.mask.copy()
         np.fill_diagonal(offdiag, 0.0)
@@ -174,26 +167,12 @@ class _Engine:
         self.nodes = self.grid.nearest_index(self.pos)
         self.rng = make_rng(config.seed, 11)
         self.block_len = config.block_len
-        self._kpow = {1: self.k}
-        self._block_starts = self._valid_block_starts()
+        # starts s with both anchors s - 1 and s + L on the grid
+        self._block_starts = np.arange(1, self.n_t - self.block_len)
         self.accepted_single = 0
         self.proposed_single = 0
         self.accepted_block = 0
         self.proposed_block = 0
-
-    def _valid_block_starts(self):
-        """Starts s such that sites s..s+L-1 are free and both anchors exist."""
-        starts = []
-        length = self.block_len
-        for s in range(1, self.n_t - length):
-            if not self.frozen[s:s + length].any():
-                starts.append(s)
-        return np.asarray(starts, dtype=int)
-
-    def _power(self, p: int) -> np.ndarray:
-        if p not in self._kpow:
-            self._kpow[p] = self.spec.kernel.power(p)
-        return self._kpow[p]
 
     def _emit(self, nodes: np.ndarray) -> np.ndarray:
         z = self.grid.x[nodes]
@@ -255,7 +234,7 @@ class _Engine:
         nodes = np.empty((n_c, length), dtype=self.nodes.dtype)
         cur = self.nodes[:, s - 1]
         for k in range(length):
-            back = self._power(length - k)
+            back = self.spec.kernel.power(length - k)
             probs = self.k[cur] * back[b]
             cur = _sample_categorical_rows(probs, self.rng.random(n_c))
             nodes[:, k] = cur
@@ -493,7 +472,7 @@ def brute_force_measure(spec: GibbsSpec) -> BruteForceTable:
 
 
 # ---------------------------------------------------------------------------
-# exact and sampled window conditionals
+# exact window conditionals
 
 
 @dataclass
@@ -543,29 +522,7 @@ def window_conditional_exact(spec: GibbsSpec, s_half: float,
     return WindowConditional(ids, probs, bridge, frame.envelope_bound(spec.w))
 
 
-def window_conditional_chain(spec: GibbsSpec, s_half: float, outside_path,
-                             config: ChainConfig) -> EnsembleResult:
-    """MCMC sampler of the window conditional for non-enumerable sizes."""
-    tg = spec.timegrid
-    ids = _window_interior(tg, s_half)
-    frozen = np.ones(tg.n_times, dtype=bool)
-    frozen[ids] = False
-    mask = FrameRegion(s_half, tg.T).weights(tg)
-    outside_path = np.asarray(outside_path, dtype=float)
-    init = np.tile(outside_path, (config.n_chains, 1))
-    left = spec.grid.x[spec.grid.nearest_index(outside_path[ids[0] - 1])]
-    right = spec.grid.x[spec.grid.nearest_index(outside_path[ids[-1] + 1])]
-    window_tg = TimeGrid(T=(ids.size + 1) * tg.dt / 2.0, dt=tg.dt)
-    for c in range(config.n_chains):
-        br = sample_bridge(spec.gs, spec.kernel, window_tg, left, right,
-                           seed=(config.seed, 14, c))
-        init[c, ids] = br.positions[1:-1]
-    engine = _Engine(spec, config, init, mask=mask, frozen=frozen)
-    return _run_engine(engine, spec, config, record_indices=ids)
-
-
-def single_move_distribution(spec: GibbsSpec, config_nodes, site: int,
-                             mask: np.ndarray | None = None) -> np.ndarray:
+def single_move_distribution(spec: GibbsSpec, config_nodes, site: int) -> np.ndarray:
     """Exact one-site transition law of the grid-mode chain at `site`.
 
     Returns the distribution of the node at `site` after one proposal and
@@ -576,7 +533,7 @@ def single_move_distribution(spec: GibbsSpec, config_nodes, site: int,
     m = grid.points
     cfg = ChainConfig(sweeps=1, burnin=0, seed=0, n_chains=m, mode="grid")
     init = np.tile(grid.x[np.asarray(config_nodes, dtype=int)], (m, 1))
-    engine = _Engine(spec, cfg, init, mask=mask)
+    engine = _Engine(spec, cfg, init)
     q = engine._site_proposal_probs(site)[0]
     q = q / q.sum()
     dh = engine._delta_h_single(site, grid.x[np.arange(m)])

@@ -42,7 +42,7 @@ is 5e-113); at dt = 0.25 the far corners (about 8e-205) are.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -335,22 +335,32 @@ class HeatKernel:
     dt: float
     matrix: np.ndarray
     operator: Tridiagonal
+    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def power(self, m: int) -> np.ndarray:
         """Kernel of m steps: products of the non-negative kernel matrix.
 
         Binary powering by symmetric products, each floored at
-        KERNEL_FLOOR; a fresh array for every m.
+        KERNEL_FLOOR.  Each power is built once per kernel and returned
+        read-only.
         """
         if m < 0:
             raise ValueError("kernel power needs m >= 0")
+        if m not in self._powers:
+            result = self._binary_power(m)
+            result.flags.writeable = False
+            self._powers[m] = result
+        return self._powers[m]
+
+    def _binary_power(self, m: int) -> np.ndarray:
         if m == 0:
             return np.eye(self.grid.points)
         result = None
         base = self.matrix
         while True:
             if m & 1:
-                result = base.copy() if result is None else _product(result, base)
+                # a view, not a copy: the cached K^1 shares the memory of `matrix`
+                result = base.view() if result is None else _product(result, base)
             m >>= 1
             if not m:
                 return result

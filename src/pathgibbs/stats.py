@@ -37,16 +37,6 @@ def ks_statistic_atomic(samples, support, probs) -> float:
     return float(max(gap_right.max(), gap_left.max()))
 
 
-def ks_statistic_continuous(samples, cdf_callable) -> float:
-    """KS statistic against a continuous CDF given as a callable."""
-    xs = np.sort(np.asarray(samples, dtype=float))
-    n = xs.size
-    target = np.asarray(cdf_callable(xs), dtype=float)
-    upper = np.max(np.arange(1, n + 1) / n - target)
-    lower = np.max(target - np.arange(0, n) / n)
-    return float(max(upper, lower))
-
-
 def integrated_autocorr_time(series, max_lag: int | None = None) -> float:
     """IAT by the initial positive sequence estimator (sum of positive
     autocorrelation pairs); 1.0 for white noise."""

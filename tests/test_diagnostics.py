@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from pathgibbs.grids import SpaceGrid, TimeGrid, radial_grid
 from pathgibbs.potentials import (harmonic, coulomb_3d, zero_pair, constant_pair,
@@ -12,13 +13,13 @@ from pathgibbs.potentials import (harmonic, coulomb_3d, zero_pair, constant_pair
 from pathgibbs.spectral import (ground_state, ground_state_radial, heat_kernel,
                                 default_grid)
 from pathgibbs.reference import sample_paths, transfer_matrix
-from pathgibbs.sampler import GibbsSpec, ChainConfig, Smeared
+from pathgibbs.sampler import GibbsSpec, ChainConfig, Smeared, Pinned, brute_force_measure
+from pathgibbs.stats import total_variation, wilson_interval
 from pathgibbs.diagnostics import (psi_tail, psi_decay_fit, tail_summability,
                                    path_growth_check, hitting_radius,
                                    hitting_time_moment, doubled_moment_exact,
                                    ratio_bound_check, tightness_profile,
-                                   window_convergence_exact, window_convergence_mc,
-                                   boundary_sensitivity_exact)
+                                   window_convergence_exact, window_convergence_mc)
 
 
 @functools.lru_cache(maxsize=None)
@@ -109,6 +110,18 @@ def test_path_growth_divergent_envelope_flagged():
     assert not report.summability.summable
     # a slack envelope is crossed more often
     assert report.limsup_proxy < 0.9
+
+
+def test_path_growth_rows_use_bonferroni_intervals():
+    # the rows share their paths, so each interval has level 5% / rows
+    gs, kernel = wide_model()
+    ens = sample_paths(gs, kernel, TimeGrid(16.0, 0.5), 400, seed=10, mode="grid")
+    report = path_growth_check(ens, gs, gamma=3.0)
+    assert len(report.rows) == 15
+    z = norm.ppf(1.0 - 0.05 / (2 * 15))
+    for r in report.rows:
+        assert (r.ci_low, r.ci_high) == pytest.approx(wilson_interval(r.p_hat, 400, z),
+                                                      rel=1e-12, abs=0.0)
 
 
 def test_path_growth_requires_integer_times():
@@ -340,9 +353,14 @@ def test_window_convergence_mc_tracks_exact():
 
 
 def test_boundary_sensitivity_reported():
+    # the pinned ends move the exact window law less as the volume grows
     gs, kernel = small_model(dt=0.5)
-    rows = boundary_sensitivity_exact(gs, kernel, nelson_pair(0.5),
-                                      [0.5, 1.0], s_half=0.5, pin=0.0)
-    assert [t for t, _ in rows] == [0.5, 1.0]
-    assert all(0.0 <= tv <= 1.0 for _, tv in rows)
-    assert rows[1][1] < rows[0][1]
+    tvs = []
+    for T in (0.5, 1.0):
+        tg = TimeGrid(T, kernel.dt)
+        ids = tg.window_indices(0.5)
+        laws = [brute_force_measure(GibbsSpec(gs, kernel, nelson_pair(0.5), tg, boundary))
+                .window_marginal(ids).reshape(-1) for boundary in (Smeared(), Pinned(0.0, 0.0))]
+        tvs.append(total_variation(*laws))
+    assert all(0.0 <= tv <= 1.0 for tv in tvs)
+    assert tvs[1] < tvs[0]

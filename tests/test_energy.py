@@ -6,14 +6,11 @@ import pytest
 from pathgibbs.energy import (
     DoubledPath,
     FrameRegion,
-    InfiniteFrameRegion,
     SquareRegion,
     StripRegion,
     apply_shift,
-    check_lag_damping,
     check_shift_inequality,
     doubled_energy,
-    energy_report,
     fold_path,
     interaction_energy,
 )
@@ -58,7 +55,6 @@ def test_region_validation_and_masks():
     # frame mask area: 2 * (2T * 2S) - (2S)^2 with S=1, T=2 -> 12
     mask = FrameRegion(1.0, 2.0).weights(tg)
     assert mask.sum() == pytest.approx(12.0)
-    assert InfiniteFrameRegion(1.0, 2.0).weights(tg).sum() == pytest.approx(12.0)
     assert StripRegion(1.0, 2.0).weights(tg).sum() == pytest.approx(8.0)
 
 
@@ -97,24 +93,9 @@ def test_region_bounds_and_tails_match_closed_forms(w):
     assert SquareRegion(T).envelope_bound(w) == 2.0 * T * budget
     assert FrameRegion(S, T).envelope_bound(w) == 4.0 * S * budget
     assert StripRegion(S, T).envelope_bound(w) == 2.0 * S * budget
-    assert InfiniteFrameRegion(S, T).envelope_bound(w) == 4.0 * S * budget
     assert SquareRegion(T).truncation_tail(w) == 0.0
     assert FrameRegion(S, T).truncation_tail(w) == 0.0
     assert StripRegion(S, T).truncation_tail(w) == 4.0 * S * tail
-    assert InfiniteFrameRegion(S, T).truncation_tail(w) == 8.0 * S * tail
-
-
-def test_energy_report_fields():
-    p = random_paths(4.0, 0.5, 1, 2)[0]
-    rep = energy_report(nelson_pair(1.0), p, InfiniteFrameRegion(1.0, 4.0))
-    assert rep["region"].startswith("infinite_frame")
-    lo, hi = rep["tail_interval"]
-    width = 8.0 * 1.0 * (0.5 * math.pi - math.atan(3.0))
-    assert hi - lo == pytest.approx(2 * width, rel=1e-12)
-    assert rep["bound"] == pytest.approx(4 * math.pi, rel=1e-12)
-    # divergent envelope suppresses the bound, square region has no tail
-    rep = energy_report(constant_pair(1.0), p, SquareRegion(2.0))
-    assert rep["bound"] is None and rep["tail_interval"] is None
 
 
 def test_apply_shift_formula():
@@ -180,24 +161,6 @@ def test_ensembles_on_mixed_grids_raise():
     paths = random_paths(3.0, 0.25, 2, 22) + random_paths(3.5, 0.25, 1, 23)
     with pytest.raises(ValueError, match="one time grid"):
         check_shift_inequality(nelson_pair(0.5), paths, T=2.0, taus=[0.5])
-    with pytest.raises(ValueError, match="one time grid"):
-        check_lag_damping(nelson_pair(0.5), paths, T=2.0, taus=[0.5])
-
-
-def test_lag_damping_monotone_is_nonpositive():
-    paths = random_paths(3.0, 0.25, 10, 9)
-    rep = check_lag_damping(nelson_pair(1.0), paths, T=2.0, taus=[0.5, 1.0])
-    assert rep.all_nonpositive
-    assert rep.l_star == 0.0 and rep.m_star == 0.0
-    zero = check_lag_damping(zero_pair(), paths, T=2.0, taus=[0.5, 1.0])
-    assert np.all(zero.values == 0.0)
-
-
-def test_lag_damping_constant_path_sign():
-    tg = TimeGrid(2.0, 0.125)
-    p = Path(tg, np.zeros(tg.n_times))
-    rep = check_lag_damping(nelson_pair(1.0), [p], T=2.0, taus=[1.0])
-    assert rep.values[0, 0] < -0.1
 
 
 def test_fold_and_doubled_energy_identity():
@@ -231,18 +194,14 @@ def test_doubled_energy_partial_window():
 
 
 def test_step_potential_shift_scan_reports_growth():
-    # the half-line interaction grows with T on the linear path, which is
-    # the divergence signal; the fitted shift constants are only reported
-    from pathgibbs.energy import split_interaction
-
+    # the divergence signal, the half-line interaction growing with T on the
+    # linear path, is checked in test_potentials; the fitted shift constants
+    # are only reported
     w = step_pair(1.0)
-    vals = []
     fits = []
     for T in (2.0, 4.0, 8.0):
         tg = TimeGrid(T + 1.0, 0.125)
         p = Path(tg, tg.times.copy())
-        vals.append(split_interaction(w, p, T))
         rep = check_shift_inequality(w, [p], T=T, taus=[0.5, 1.0])
         fits.append((rep.c_star, rep.d_star))
-    assert vals[0] < vals[1] < vals[2]
     assert all(c >= 0 and d >= 0 for c, d in fits)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pathgibbs.energy import estimate_split_interaction, split_interaction
+from pathgibbs.energy import Region, interaction_energy
 from pathgibbs.grids import Path, TimeGrid
 from pathgibbs.potentials import (
     box_zero,
@@ -13,14 +13,11 @@ from pathgibbs.potentials import (
     coulomb_3d,
     harmonic,
     interaction_budget,
-    load_pair_table,
-    load_site_table,
     nelson_pair,
     pair_from_table,
     site_from_table,
     step_pair,
     sufficient_condition_report,
-    verify_envelope,
     zero_pair,
 )
 
@@ -41,7 +38,7 @@ def test_site_potential_values():
         harmonic().evaluate(np.nan)
 
 
-def test_site_table_roundtrip(tmp_path):
+def test_site_table_roundtrip():
     x = np.linspace(0.0, 3.0, 7)
     vals = x**3
     v = site_from_table(x, vals, alpha=27.0)
@@ -49,10 +46,6 @@ def test_site_table_roundtrip(tmp_path):
     assert v.evaluate(-2.0) == pytest.approx(8.0)
     with pytest.raises(ValueError):
         v.evaluate_radial(5.0)
-    f = tmp_path / "v.dat"
-    np.savetxt(f, np.column_stack([x, vals]))
-    v2 = load_site_table(f, alpha=27.0)
-    assert v2.evaluate_radial(2.5) == pytest.approx(v.evaluate_radial(2.5))
 
 
 def test_pair_potential_values():
@@ -69,7 +62,7 @@ def test_pair_potential_values():
         w.evaluate(0.0, 0.0, -1.0)
 
 
-def test_pair_table_roundtrip(tmp_path):
+def test_pair_table_roundtrip():
     u = np.array([0.0, 1.0, 2.0])
     t = np.array([0.0, 1.0])
     vals = -np.add.outer(u, t)
@@ -79,11 +72,6 @@ def test_pair_table_roundtrip(tmp_path):
     # declared zero beyond the tabulated time range
     assert w.evaluate(1.0, 0.0, 5.0) == 0.0
     assert w.envelope(0.0) == pytest.approx(2.0)
-    rows = [(ui, tj, vals[i, j]) for i, ui in enumerate(u) for j, tj in enumerate(t)]
-    f = tmp_path / "w.dat"
-    np.savetxt(f, np.asarray(rows))
-    w2 = load_pair_table(f)
-    assert w2.evaluate(1.0, 0.0, 1.0) == pytest.approx(-2.0)
 
 
 def test_interaction_budget_closed_forms():
@@ -131,9 +119,13 @@ def test_radial_is_evaluate_bit_for_bit(w, xs, y, t):
 def test_verify_envelope_grid():
     xs = np.linspace(-4, 4, 17)
     ts = np.linspace(0, 6, 25)
+
+    def worst_gap(w):
+        vals = np.abs(w.evaluate(xs[:, None, None], xs[None, :, None], ts))
+        return float(np.max(vals - w.envelope(ts)))
     # x == y attains the envelope, so the worst gap is exactly zero
-    assert verify_envelope(nelson_pair(1.0), xs, xs, ts) == pytest.approx(0.0, abs=1e-15)
-    assert verify_envelope(step_pair(2.0), xs, xs, ts) <= 0.0
+    assert worst_gap(nelson_pair(1.0)) == pytest.approx(0.0, abs=1e-15)
+    assert worst_gap(step_pair(2.0)) <= 0.0
 
 
 def test_monotone_check_passes_nelson():
@@ -197,13 +189,22 @@ def test_shifted_alpha_enters_condition():
     assert rep.alpha == pytest.approx(50.0)
 
 
+def half_lines(T):
+    """[-T, 0] x [0, T]: the coupling of the two half lines."""
+    return Region(f"half_lines(T={T})", ((1.0, (-T, 0.0), (0.0, T)),))
+
+
+def split_interaction(w, path, T):
+    return abs(interaction_energy(w, path, half_lines(T)))
+
+
 def test_split_interaction_constant_pair():
     tg = TimeGrid(2.0, 0.25)
     p = Path(tg, np.zeros(tg.n_times))
     # constant integrand integrates to value * T^2 exactly under trapezoid
     assert split_interaction(constant_pair(-3.0), p, 2.0) == pytest.approx(12.0)
     assert split_interaction(constant_pair(-3.0), p, 1.0) == pytest.approx(3.0)
-    assert estimate_split_interaction(zero_pair(), [p], 2.0) == 0.0
+    assert split_interaction(zero_pair(), p, 2.0) == 0.0
     with pytest.raises(ValueError):
         split_interaction(zero_pair(), p, 5.0)
 
@@ -214,7 +215,8 @@ def test_split_interaction_bounded_by_budget_times_side():
     rng = np.random.default_rng(7)
     tg = TimeGrid(1.0, 0.125)
     paths = [Path(tg, rng.normal(size=tg.n_times)) for _ in range(20)]
-    assert estimate_split_interaction(w, paths, 1.0) <= math.pi * 1.0
+    assert half_lines(1.0).envelope_bound(w) == pytest.approx(math.pi * 1.0)
+    assert max(split_interaction(w, p, 1.0) for p in paths) <= math.pi * 1.0
 
 
 def test_split_interaction_grows_for_step_on_linear_path():

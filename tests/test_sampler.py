@@ -11,13 +11,12 @@ from pathgibbs.potentials import (harmonic, zero_pair, constant_pair, nelson_pai
                                   pair_from_table)
 from pathgibbs.spectral import ground_state, heat_kernel, default_grid
 from pathgibbs.reference import stationary_weights, bridge_marginal, make_rng, sample_paths
-from pathgibbs.energy import (FrameRegion, HalfLineRegion, InfiniteFrameRegion, SquareRegion,
-                              StripRegion, doubled_layout, pair_action)
+from pathgibbs.energy import FrameRegion, SquareRegion, StripRegion, doubled_layout, pair_action
 from pathgibbs.stats import total_variation, ks_statistic_atomic
 from pathgibbs.sampler import (
     Smeared, Pinned, GibbsSpec, ChainConfig,
     run_ensemble, empirical_node_marginals, brute_force_measure,
-    window_conditional_exact, window_conditional_chain,
+    window_conditional_exact,
     single_move_distribution, enumerate_configs, _Engine,
     _initial_positions, _run_engine,
 )
@@ -144,15 +143,15 @@ CATALOG_PAIRS = [nelson_pair(0.7), step_pair(0.9), constant_pair(0.4), TABLE_PAI
 @pytest.mark.parametrize("w", CATALOG_PAIRS)
 def test_quadrature_matches_energy_module(w):
     # pair_action against an ordered-pair reference through `evaluate` on every
-    # layout the package integrates over; the lag + 2 tau case has a nonzero
-    # diagonal lag, where W(0, 0) * trace(mask) would be wrong
+    # layout the package integrates over; the strip's mask is asymmetric, and
+    # its lags shifted by 1 have a nonzero diagonal, where W(0, 0) * trace(mask)
+    # would be wrong
     tg = TimeGrid(2.0, 0.25)
     rng = make_rng(5)
     paths = rng.normal(size=(3, tg.n_times))
-    regions = [SquareRegion(2.0), FrameRegion(1.0, 2.0), StripRegion(1.0, 2.0),
-               InfiniteFrameRegion(1.0, 2.0), HalfLineRegion(2.0)]
+    regions = [SquareRegion(2.0), FrameRegion(1.0, 2.0), StripRegion(1.0, 2.0)]
     layouts = [(paths, r.weights(tg), tg.lags()) for r in regions]
-    layouts.append((paths, HalfLineRegion(2.0).weights(tg), tg.lags() + 2.0 * 0.5))
+    layouts.append((paths, StripRegion(1.0, 2.0).weights(tg), tg.lags() + 1.0))
     mask, lags = doubled_layout(tg.n, tg.dt)
     layouts.append((rng.normal(size=(3, 2 * tg.n + 2)), mask, lags))
     for x, mask, lags in layouts:
@@ -341,7 +340,7 @@ def test_low_acceptance_emits_block_length_warning():
 
 
 @pytest.mark.parametrize("mode", ["interp", "grid"])
-@pytest.mark.parametrize("case", ["smeared", "pinned", "window"])
+@pytest.mark.parametrize("case", ["smeared", "pinned"])
 def test_carried_nodes_match_positions(monkeypatch, mode, case):
     engines = []
 
@@ -350,18 +349,9 @@ def test_carried_nodes_match_positions(monkeypatch, mode, case):
         return _run_engine(engine, *args, **kwargs)
     monkeypatch.setattr(sampler, "_run_engine", run_and_keep)
     cfg = ChainConfig(sweeps=40, burnin=10, block_len=3, seed=61, n_chains=16, mode=mode)
-    if case == "window":
-        spec = spec_wide(nelson_pair(0.5), T=2.0)
-        rng = make_rng(62)
-        outside = rng.normal(size=spec.timegrid.n_times)
-        result = window_conditional_chain(spec, 1.0, outside, cfg)
-        frozen = np.ones(spec.timegrid.n_times, dtype=bool)
-        frozen[result.record_indices] = False
-        assert np.all(engines[0].pos[:, frozen] == outside[frozen])
-    else:
-        boundary = Pinned(-0.5, 0.5) if case == "pinned" else Smeared()
-        spec = spec_wide(nelson_pair(0.5), T=2.0, boundary=boundary)
-        run_ensemble(spec, cfg)
+    boundary = Pinned(-0.5, 0.5) if case == "pinned" else Smeared()
+    spec = spec_wide(nelson_pair(0.5), T=2.0, boundary=boundary)
+    run_ensemble(spec, cfg)
     engine, = engines
     assert engine.accepted_single > 0
     assert np.array_equal(engine.nodes, spec.grid.nearest_index(engine.pos))
@@ -421,19 +411,6 @@ def test_window_conditional_ratio_envelope():
     ratio = wc.probs[live] / wc.bridge_probs[live]
     assert np.all(ratio <= bound * (1 + 1e-12))
     assert np.all(ratio >= (1 + 1e-12) / bound)
-
-
-def test_window_conditional_chain_approaches_exact():
-    spec = spec_small(nelson_pair(0.5), T=1.5)
-    out = outside_config(spec)
-    wc = window_conditional_exact(spec, 1.0, out)
-    cfg = ChainConfig(sweeps=2500, burnin=200, block_len=2, seed=51,
-                      n_chains=40, mode="grid")
-    result = window_conditional_chain(spec, 1.0, spec.grid.x[out], cfg)
-    emp = empirical_node_marginals(result, spec.grid)
-    marg = [wc.probs.sum(axis=tuple(j for j in range(3) if j != k)) for k in range(3)]
-    for row in range(3):
-        assert total_variation(emp[row], marg[row]) < 0.05
 
 
 def test_enumerated_columns_cover_all_configs():
