@@ -4,9 +4,9 @@ The energy of a path over a region R of the (t, s) plane is the 2D
 trapezoid quadrature of -W(|x_t - x_s|, |t - s|). A region is a signed
 sum of rectangles (inclusion-exclusion) that becomes a weight mask on the
 path's own time grid, and every energy in the package, for one path or a
-batch, goes through the one quadrature `pair_action`. The unbounded
-regions truncate at a finite horizon and report an analytic envelope
-bound for the remainder.
+batch, goes through the one quadrature `pair_action`. The strip, which is
+unbounded in the paper, truncates at a finite horizon and reports an
+analytic envelope bound for the remainder.
 """
 
 from dataclasses import dataclass
@@ -71,11 +71,6 @@ class Region:
         return self.name
 
 
-def _cross(S: float, T: float) -> tuple:
-    """([-T,T] x [-S,S]) union ([-S,S] x [-T,T]) by inclusion-exclusion."""
-    return ((1.0, (-T, T), (-S, S)), (1.0, (-S, S), (-T, T)), (-1.0, (-S, S), (-S, S)))
-
-
 def SquareRegion(T: float) -> Region:
     """[-T, T] x [-T, T]."""
     if T <= 0:
@@ -84,10 +79,11 @@ def SquareRegion(T: float) -> Region:
 
 
 def FrameRegion(S: float, T: float) -> Region:
-    """([-T,T] x [-S,S]) union ([-S,S] x [-T,T])."""
+    """([-T,T] x [-S,S]) union ([-S,S] x [-T,T]), by inclusion-exclusion."""
     if not 0 < S <= T:
         raise ValueError("frame region needs 0 < S <= T")
-    return Region(f"frame(S={S}, T={T})", _cross(S, T))
+    return Region(f"frame(S={S}, T={T})",
+                  ((1.0, (-T, T), (-S, S)), (1.0, (-S, S), (-T, T)), (-1.0, (-S, S), (-S, S))))
 
 
 def StripRegion(S: float, t_max: float) -> Region:
