@@ -72,7 +72,6 @@ class DecayFit:
 
     amplitude: float
     beta: float
-    s: int
     residual: float
 
 
@@ -87,7 +86,7 @@ def psi_decay_fit(gs: GroundState, s: int = 1, window=(2.0, 5.0)) -> DecayFit:
     logs = np.log(prof[keep])
     slope, intercept = np.polyfit(u, logs, 1)
     resid = float(np.max(np.abs(slope * u + intercept - logs)))
-    return DecayFit(float(np.exp(intercept)), float(-slope), s, resid)
+    return DecayFit(float(np.exp(intercept)), float(-slope), resid)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +111,6 @@ class TightnessCell:
 class TightnessReport:
     cells: list
     k_hat: float
-    k_per_t: dict
     trend_pvalue: float
     domination_holds: bool
 
@@ -156,7 +154,7 @@ def tightness_profile(gs: GroundState, kernel: HeatKernel, w: PairPotential,
     trend_p = upward_trend_pvalue(ts, [k_per_t[t][0] for t in ts],
                                   [k_per_t[t][1] for t in ts])
     holds = all(c.p_hat <= k_hat * c.tail * (1 + 1e-12) for c in unflagged)
-    return TightnessReport(cells, k_hat, k_per_t, trend_p, holds)
+    return TightnessReport(cells, k_hat, trend_p, holds)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +230,6 @@ def window_convergence_mc(gs: GroundState, kernel: HeatKernel, w: PairPotential,
 class HittingReport:
     radius: float
     gamma: float
-    growth_rate: float  # exponential moment rate C
     estimate: float
     stderr: float
     tail_bound: float
@@ -283,7 +280,7 @@ def hitting_time_moment(gs: GroundState, kernel: HeatKernel, start,
 
     if float(np.hypot(z[0], z[1])) <= radius or c == 0.0:
         # already inside, or a zeroth moment: the answer is exact
-        return HittingReport(radius, gamma, c, 1.0, 0.0, 0.0, rhs, 1.0)
+        return HittingReport(radius, gamma, 1.0, 0.0, 0.0, rhs, 1.0)
 
     tail_bound = amplitude * (1.0 + c / gamma) * np.exp(-gamma * horizon)
     steps = int(round(horizon / kernel.dt))
@@ -312,7 +309,7 @@ def hitting_time_moment(gs: GroundState, kernel: HeatKernel, start,
         need = np.log(amplitude * (1.0 + c / gamma) / (0.05 * estimate)) / gamma
         raise ValueError(f"horizon {horizon} too short: tail bound {tail_bound:.3g} "
                          f"exceeds 10% of the estimate; use horizon >= {need:.1f}")
-    return HittingReport(radius, gamma, c, estimate, stderr, float(tail_bound),
+    return HittingReport(radius, gamma, estimate, stderr, float(tail_bound),
                          rhs, 1.0 - survivors)
 
 

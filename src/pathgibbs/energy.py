@@ -5,8 +5,8 @@ trapezoid quadrature of -W(|x_t - x_s|, |t - s|). A region is a signed
 sum of rectangles (inclusion-exclusion) that becomes a weight mask on the
 path's own time grid, and every energy in the package, for one path or a
 batch, goes through the one quadrature `pair_action`. The strip, which is
-unbounded in the paper, truncates at a finite horizon and reports an
-analytic envelope bound for the remainder.
+unbounded in the paper, truncates at a finite horizon; its envelope bound
+already covers the whole unbounded strip.
 """
 
 from dataclasses import dataclass
@@ -41,14 +41,11 @@ class Region:
     """Signed sum of rectangles [t0, t1] x [s0, s1] in the (t, s) plane.
 
     `rects` holds (sign, (t0, t1), (s0, s1)) triples. A region that is
-    unbounded in the paper is truncated to |t|, |s| <= span(), and
-    `tail_weight * W.envelope_tail(tail_start)` bounds what it leaves out.
+    unbounded in the paper is truncated to |t|, |s| <= span().
     """
 
     name: str
     rects: tuple
-    tail_weight: float = 0.0
-    tail_start: float = 0.0
 
     def span(self) -> float:
         return max(abs(e) for _, t, s in self.rects for e in (*t, *s))
@@ -62,10 +59,6 @@ class Region:
         time axis, so a rectangle collects at most budget x its shorter side."""
         return interaction_budget(w) * sum(min(t[1] - t[0], s[1] - s[0])
                                            for sign, t, s in self.rects if sign > 0)
-
-    def truncation_tail(self, w: PairPotential) -> float:
-        # a bounded region has no tail even where envelope_tail is inf (constant W)
-        return self.tail_weight * w.envelope_tail(self.tail_start) if self.tail_weight else 0.0
 
     def label(self) -> str:
         return self.name
@@ -87,11 +80,14 @@ def FrameRegion(S: float, T: float) -> Region:
 
 
 def StripRegion(S: float, t_max: float) -> Region:
-    """(R x [-S,S]) truncated to |t| <= t_max."""
+    """(R x [-S,S]) truncated to |t| <= t_max.
+
+    Its envelope bound, budget x 2S, does not depend on t_max: it bounds the
+    interaction over the whole unbounded strip.
+    """
     if not 0 < S <= t_max:
         raise ValueError("strip region needs 0 < S <= t_max")
-    return Region(f"strip(S={S}, t_max={t_max})", ((1.0, (-t_max, t_max), (-S, S)),),
-                  4.0 * S, t_max - S)
+    return Region(f"strip(S={S}, t_max={t_max})", ((1.0, (-t_max, t_max), (-S, S)),))
 
 
 def region_action(w: PairPotential, positions: np.ndarray, tg: TimeGrid,
@@ -141,7 +137,6 @@ def apply_shift(path: Path, tau: float) -> Path:
 class ShiftInequalityReport:
     """Outcome of testing energy(x) <= energy(shifted x) + C tau + D."""
 
-    taus: list
     worst_gap_per_tau: list
     violations: list
     c_star: float
@@ -193,8 +188,7 @@ def check_shift_inequality(w: PairPotential, paths, T: float, taus,
     bad = np.argwhere(gaps > C * taus + D + tol)
     excess = gaps - C * taus - D
     violations = [(int(i), float(taus[j]), float(excess[i, j])) for i, j in bad]
-    return ShiftInequalityReport(list(taus), [float(g) for g in worst],
-                                 violations, c_star, d_star)
+    return ShiftInequalityReport([float(g) for g in worst], violations, c_star, d_star)
 
 
 @dataclass

@@ -132,6 +132,3 @@ class Path:
             )
         if not np.all(np.isfinite(self.positions)):
             raise ValueError("path contains non-finite positions")
-
-    def value_at(self, t: float) -> float:
-        return float(self.positions[self.timegrid.index_of_time(t)])

@@ -7,7 +7,7 @@ verification grids.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -33,16 +33,10 @@ class SitePotential:
     shift: float = 0.0
     alpha: float = math.inf
     clamp: float | None = None
-    table_x: np.ndarray | None = None
-    table_v: np.ndarray | None = None
 
     @property
     def effective_alpha(self) -> float:
         return self.alpha + self.shift
-
-    def with_shift(self, delta: float) -> "SitePotential":
-        """Copy with `delta` added to the additive shift."""
-        return replace(self, shift=self.shift + delta)
 
     def evaluate(self, x):
         """V(x) + shift, elementwise.
@@ -75,10 +69,6 @@ class SitePotential:
                 v = np.where(r == 0.0, self.clamp, -1.0 / np.where(r == 0.0, 1.0, r))
             else:
                 v = -1.0 / r
-        elif self.kind == "table":
-            if r.size and (np.min(r) < self.table_x[0] or np.max(r) > self.table_x[-1]):
-                raise ValueError("tabulated potential evaluated outside its abscissa range")
-            v = np.interp(r, self.table_x, self.table_v)
         else:
             raise ValueError(f"unknown site potential kind {self.kind!r}")
         out = v + self.shift
@@ -104,16 +94,6 @@ def coulomb_3d(clamp: float | None = SINGULARITY_CLAMP_DEFAULT, shift: float = 0
     return SitePotential("coulomb3d", dim=3, shift=shift, alpha=0.0, clamp=clamp)
 
 
-def site_from_table(x, v, alpha: float, dim: int = 1) -> SitePotential:
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if x.ndim != 1 or x.shape != v.shape or x.size < 2:
-        raise ValueError("potential table needs matching 1-d abscissa/value columns")
-    if np.any(np.diff(x) <= 0):
-        raise ValueError("potential table abscissae must be strictly increasing")
-    return SitePotential("table", dim=dim, alpha=alpha, table_x=x, table_v=v)
-
-
 @dataclass
 class PairPotential:
     """Two-time pair potential W(x, y, t) with a declared envelope.
@@ -128,9 +108,6 @@ class PairPotential:
     value: float = 0.0
     monotone_in_t: bool = False
     envelope_integrable: bool = True
-    table_u: np.ndarray | None = None
-    table_t: np.ndarray | None = None
-    table_w: np.ndarray | None = None
 
     def __post_init__(self):
         if self.coupling < 0:
@@ -160,22 +137,7 @@ class PairPotential:
             return -self.coupling / (u ** 2 + t * t + 1.0)
         if self.kind == "step":
             return np.where(u <= 2.0 * t, -self.coupling / (t * t + 1.0), 0.0)
-        if self.kind == "table":
-            return self._table_eval(u, t)
         raise ValueError(f"unknown pair potential kind {self.kind!r}")
-
-    def _table_eval(self, u, t):
-        u = np.clip(u, self.table_u[0], self.table_u[-1])
-        tc = np.clip(t, self.table_t[0], self.table_t[-1])
-        iu = np.clip(np.searchsorted(self.table_u, u) - 1, 0, self.table_u.size - 2)
-        it = np.clip(np.searchsorted(self.table_t, tc) - 1, 0, self.table_t.size - 2)
-        du = (u - self.table_u[iu]) / (self.table_u[iu + 1] - self.table_u[iu])
-        dt_ = (tc - self.table_t[it]) / (self.table_t[it + 1] - self.table_t[it])
-        w = self.table_w
-        out = (w[iu, it] * (1 - du) * (1 - dt_) + w[iu + 1, it] * du * (1 - dt_)
-               + w[iu, it + 1] * (1 - du) * dt_ + w[iu + 1, it + 1] * du * dt_)
-        # beyond the tabulated time range the potential is declared zero
-        return np.where(t > self.table_t[-1], 0.0, out)
 
     def envelope(self, t):
         """Pointwise dominating function for |W| at time separation t."""
@@ -186,10 +148,6 @@ class PairPotential:
             out = np.full_like(t, abs(self.value))
         elif self.kind in ("nelson", "step"):
             out = self.coupling / (t * t + 1.0)
-        elif self.kind == "table":
-            col_max = np.max(np.abs(self.table_w), axis=0)
-            out = np.where(t > self.table_t[-1], 0.0,
-                           np.interp(t, self.table_t, col_max))
         else:
             raise ValueError(f"unknown pair potential kind {self.kind!r}")
         return float(out) if out.ndim == 0 else out
@@ -202,12 +160,6 @@ class PairPotential:
             return 0.0 if self.value == 0.0 else math.inf
         if self.kind in ("nelson", "step"):
             return self.coupling * (0.5 * math.pi - math.atan(a))
-        if self.kind == "table":
-            if a >= self.table_t[-1]:
-                return 0.0
-            hi = self.table_t[-1]
-            val, _ = integrate.quad(self.envelope, a, hi, limit=200)
-            return val
         raise ValueError(f"unknown pair potential kind {self.kind!r}")
 
 
@@ -234,18 +186,6 @@ def step_pair(coupling: float = 1.0) -> PairPotential:
     counterexample entry.
     """
     return PairPotential("step", coupling=coupling, monotone_in_t=False)
-
-
-def pair_from_table(u, t, w, monotone_in_t: bool = False) -> PairPotential:
-    u = np.asarray(u, dtype=float)
-    t = np.asarray(t, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if u.ndim != 1 or t.ndim != 1 or w.shape != (u.size, t.size):
-        raise ValueError("pair table needs 1-d axes and a (len(u), len(t)) value grid")
-    if np.any(np.diff(u) <= 0) or np.any(np.diff(t) <= 0):
-        raise ValueError("pair table abscissae must be strictly increasing")
-    return PairPotential("table", table_u=u, table_t=t, table_w=w,
-                         monotone_in_t=monotone_in_t)
 
 
 def interaction_budget(w: PairPotential) -> float:
@@ -296,7 +236,6 @@ class SufficientConditionReport:
     margin: float
     threshold: float
     alpha: float
-    budget: float
     mode: str
     note: str = ""
 
@@ -322,13 +261,13 @@ def sufficient_condition_report(v: SitePotential, w: PairPotential,
         raise ValueError(f"unknown sufficiency mode {mode!r}")
     note = ""
     if mode == "monotone" and not w.monotone_in_t:
-        return SufficientConditionReport(False, -math.inf, math.nan, alpha, budget, mode,
+        return SufficientConditionReport(False, -math.inf, math.nan, alpha, mode,
                                          "pair potential is not monotone in t")
     threshold = factor * budget
     if math.isinf(threshold) and math.isinf(alpha):
-        return SufficientConditionReport(False, -math.inf, threshold, alpha, budget, mode,
+        return SufficientConditionReport(False, -math.inf, threshold, alpha, mode,
                                          "envelope budget diverges")
     margin = alpha - threshold
     # a vanishing interaction never constrains the growth budget
     holds = threshold < alpha or (budget == 0.0 and alpha >= 0.0)
-    return SufficientConditionReport(holds, margin, threshold, alpha, budget, mode, note)
+    return SufficientConditionReport(holds, margin, threshold, alpha, mode, note)

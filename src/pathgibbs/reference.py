@@ -175,7 +175,6 @@ def bridge_marginal(kernel: HeatKernel, ia: int, ib: int, k: int, m: int) -> np.
 
 @dataclass
 class FkfReport:
-    dts: list
     residuals: list
     chain_value: float
     order: float
@@ -214,4 +213,4 @@ def fkf_convergence(gs: GroundState, f, T: float, dts) -> FkfReport:
     chain = float(stationary_weights(gs) @ f_vals)
     residuals = [abs(_trotter_expectation(gs, f_vals, T, dt) - chain) for dt in dts]
     order = log_log_slope(dts, residuals)
-    return FkfReport(list(dts), residuals, chain, order)
+    return FkfReport(residuals, chain, order)

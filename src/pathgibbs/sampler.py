@@ -284,8 +284,10 @@ def _initial_positions(spec: GibbsSpec, config: ChainConfig) -> np.ndarray:
     return pos
 
 
-def _run_engine(engine: _Engine, spec: GibbsSpec, config: ChainConfig,
-                record_indices) -> EnsembleResult:
+def run_ensemble(spec: GibbsSpec, config: ChainConfig,
+                 record_indices=None) -> EnsembleResult:
+    """Run a batch of chains and record positions at the given time indices."""
+    engine = _Engine(spec, config, _initial_positions(spec, config))
     if record_indices is None:
         record_indices = np.arange(spec.timegrid.n_times)
     record_indices = np.asarray(record_indices, dtype=int)
@@ -303,13 +305,6 @@ def _run_engine(engine: _Engine, spec: GibbsSpec, config: ChainConfig,
             row += 1
     single, block = engine.acceptance_rates()
     return EnsembleResult(spec.timegrid, record_indices, out[:row], single, block, config)
-
-
-def run_ensemble(spec: GibbsSpec, config: ChainConfig,
-                 record_indices=None) -> EnsembleResult:
-    """Run a batch of chains and record positions at the given time indices."""
-    engine = _Engine(spec, config, _initial_positions(spec, config))
-    return _run_engine(engine, spec, config, record_indices)
 
 
 def empirical_node_marginals(result: EnsembleResult, grid: SpaceGrid) -> np.ndarray:

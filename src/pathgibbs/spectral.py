@@ -340,33 +340,27 @@ class HeatKernel:
     def power(self, m: int) -> np.ndarray:
         """Kernel of m steps: products of the non-negative kernel matrix.
 
-        Binary powering by symmetric products, each floored at
+        K^(2k) is the square of K^k and K^(2k+1) is K times K^(2k), both
+        read from the cache; every product is symmetric and floored at
         KERNEL_FLOOR.  Each power is built once per kernel and returned
         read-only.
         """
         if m < 0:
             raise ValueError("kernel power needs m >= 0")
         if m not in self._powers:
-            result = self._binary_power(m)
+            if m == 0:
+                result = np.eye(self.grid.points)
+            elif m == 1:
+                # a view, not a copy: the cached K^1 shares the memory of `matrix`
+                result = self.matrix.view()
+            elif m % 2:
+                result = _product(self.matrix, self.power(m - 1))
+            else:
+                result = np.empty(self.matrix.shape)
+                _square(self.power(m // 2), self.grid.points - 1, result)
             result.flags.writeable = False
             self._powers[m] = result
         return self._powers[m]
-
-    def _binary_power(self, m: int) -> np.ndarray:
-        if m == 0:
-            return np.eye(self.grid.points)
-        result = None
-        base = self.matrix
-        while True:
-            if m & 1:
-                # a view, not a copy: the cached K^1 shares the memory of `matrix`
-                result = base.view() if result is None else _product(result, base)
-            m >>= 1
-            if not m:
-                return result
-            squared = np.empty(base.shape)
-            _square(base, base.shape[0] - 1, squared)
-            base = squared
 
     def at(self, dt: float) -> np.ndarray:
         """Kernel matrix for an arbitrary positive time, built like `matrix`."""

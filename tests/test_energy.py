@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from pathgibbs.energy import (
     DoubledPath,
@@ -19,14 +20,11 @@ from pathgibbs.potentials import (
     constant_pair,
     interaction_budget,
     nelson_pair,
-    pair_from_table,
     step_pair,
     zero_pair,
 )
 
-BOUND_PAIRS = [nelson_pair(0.7), step_pair(0.9), zero_pair(), constant_pair(0.4),
-               pair_from_table([0.0, 1.0], [0.0, 1.0, 3.0],
-                               [[-1.0, -0.6, -0.1], [-0.5, -0.4, -0.05]])]
+BOUND_PAIRS = [nelson_pair(0.7), step_pair(0.9), zero_pair(), constant_pair(0.4)]
 
 
 def random_paths(T, dt, count, seed, scale=1.0):
@@ -59,21 +57,15 @@ def test_region_validation_and_masks():
 
 
 def test_energy_linear_in_potential():
-    u = np.linspace(0.0, 6.0, 13)
-    t = np.linspace(0.0, 8.0, 17)
-    rng = np.random.default_rng(3)
-    w1 = rng.normal(size=(u.size, t.size))
-    w2 = rng.normal(size=(u.size, t.size))
-    a, b = 2.5, -1.25
-    pa = pair_from_table(u, t, w1)
-    pb = pair_from_table(u, t, w2)
-    pc = pair_from_table(u, t, a * w1 + b * w2)
+    # the energy is linear in W, and each catalog W is linear in its coupling or value
     p = random_paths(2.0, 0.25, 1, 5)[0]
     region = SquareRegion(2.0)
-    ea = interaction_energy(pa, p, region)
-    eb = interaction_energy(pb, p, region)
-    ec = interaction_energy(pc, p, region)
-    assert ec == pytest.approx(a * ea + b * eb, rel=1e-12)
+    a, b = 2.5, 1.25
+    for make, c1, c2 in ((nelson_pair, 0.7, 1.9), (step_pair, 0.4, 1.1),
+                         (constant_pair, 0.3, -0.8)):
+        e1, e2, e12 = (interaction_energy(make(c), p, region) for c in (c1, c2, a * c1 + b * c2))
+        assert e1 != 0.0 and e2 != 0.0
+        assert e12 == pytest.approx(a * e1 + b * e2, rel=1e-12)
 
 
 def test_frame_and_strip_envelope_bounds():
@@ -89,13 +81,16 @@ def test_frame_and_strip_envelope_bounds():
 def test_region_bounds_and_tails_match_closed_forms(w):
     S, T = 0.75, 3.0
     budget = interaction_budget(w)
-    tail = w.envelope_tail(T - S)
     assert SquareRegion(T).envelope_bound(w) == 2.0 * T * budget
     assert FrameRegion(S, T).envelope_bound(w) == 4.0 * S * budget
     assert StripRegion(S, T).envelope_bound(w) == 2.0 * S * budget
-    assert SquareRegion(T).truncation_tail(w) == 0.0
-    assert FrameRegion(S, T).truncation_tail(w) == 0.0
-    assert StripRegion(S, T).truncation_tail(w) == 4.0 * S * tail
+    # the strip's bound covers the unbounded strip: it ignores the truncation
+    assert StripRegion(S, 4.0 * T).envelope_bound(w) == StripRegion(S, T).envelope_bound(w)
+    tail = w.envelope_tail(T - S)
+    if w.envelope_integrable:
+        assert tail == pytest.approx(integrate.quad(w.envelope, T - S, np.inf)[0], abs=1e-10)
+    else:
+        assert tail == math.inf
 
 
 def test_apply_shift_formula():
@@ -103,9 +98,10 @@ def test_apply_shift_formula():
     p = Path(tg, tg.times.copy())
     s = apply_shift(p, 1.0)
     assert s.timegrid.T == pytest.approx(2.0)
-    assert s.value_at(0.5) == pytest.approx(1.5)
-    assert s.value_at(-0.5) == pytest.approx(-1.5)
-    assert s.value_at(0.0) == pytest.approx(1.0)
+    at = s.timegrid.index_of_time
+    assert s.positions[at(0.5)] == pytest.approx(1.5)
+    assert s.positions[at(-0.5)] == pytest.approx(-1.5)
+    assert s.positions[at(0.0)] == pytest.approx(1.0)
     # identity, constant invariance, composition
     assert np.array_equal(apply_shift(p, 0.0).positions, p.positions)
     const = Path(tg, np.full(tg.n_times, 2.5))

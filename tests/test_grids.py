@@ -75,7 +75,7 @@ def test_interval_weights_cover_subwindow():
 def test_path_validation():
     tg = TimeGrid(1.0, 0.5)
     p = Path(tg, [0.0, 1.0, 2.0, 1.0, 0.0])
-    assert p.value_at(0.5) == 1.0
+    assert p.positions[tg.index_of_time(0.5)] == 1.0
     with pytest.raises(ValueError):
         Path(tg, [0.0, 1.0])
     with pytest.raises(ValueError):

@@ -32,14 +32,28 @@ TEST_REFERENCES = {
     "transition_density": "Ornstein-Uhlenbeck transition law of acceptance criterion 04",
     "verify_fkf": "Feynman-Kac residual of acceptance criterion 03",
     "fkf_convergence": "Feynman-Kac convergence order of acceptance criterion 03",
-    "pair_from_table": "the tabulated W with W(0, 0) != 0 of the quadrature tests",
-    "site_from_table": "the tabulated V of the site-table test, the catalog's table kind",
 }
 
 
-def _top_level_definitions(tree):
-    return {node.name: node for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+def _definitions(tree):
+    """Top-level functions and classes, and the methods and properties of
+    those classes as "Class.member"."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found[node.name] = node
+        if isinstance(node, ast.ClassDef):
+            found.update({f"{node.name}.{member.name}": member for member in node.body
+                          if isinstance(member, ast.FunctionDef)})
+    return found
+
+
+def _own_parts(node):
+    """What a definition runs or declares itself: a class without its methods."""
+    if isinstance(node, ast.ClassDef):
+        return [*node.bases, *node.keywords, *node.decorator_list,
+                *(n for n in node.body if not isinstance(n, ast.FunctionDef))]
+    return [node]
 
 
 def _names_in(nodes):
@@ -48,27 +62,36 @@ def _names_in(nodes):
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def _is_reached(key, live, used):
+    cls, _, member = key.rpartition(".")
+    if not cls:
+        return key in used
+    dunder = member.startswith("__") and member.endswith("__")
+    return cls in live and (dunder or member in used)
+
+
 def test_every_definition_is_reached_from_a_command_or_the_benchmark():
     # live roots: the cli entry point, every module's top-level statements
     # outside its definitions, everything perfbench/ uses and the test
-    # references; then every definition that live code names is live too
+    # references; a definition is live once live code names it, and a
+    # method or property once its class is live and live code names the
+    # member (any attribute of that name counts; dunders always do)
     package = Path(pathgibbs.__file__).parent
     definitions = {}
-    roots = {"main"}
+    used = {"main"} | set(TEST_REFERENCES)
     for path in sorted(package.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
-        definitions.update(_top_level_definitions(tree))
-        roots |= _names_in(node for node in tree.body
-                           if not isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+        definitions.update(_definitions(tree))
+        used |= _names_in(node for node in tree.body
+                          if not isinstance(node, (ast.FunctionDef, ast.ClassDef)))
     bench = Path(__file__).resolve().parents[1] / "perfbench"
-    roots |= _names_in(ast.parse(p.read_text()) for p in sorted(bench.glob("*.py")))
-    live, todo = set(), [name for name in roots | set(TEST_REFERENCES) if name in definitions]
-    while todo:
-        name = todo.pop()
-        if name not in live:
-            live.add(name)
-            todo += [n for n in _names_in([definitions[name]]) if n in definitions]
-    assert sorted(set(definitions) - live) == []
+    used |= _names_in(ast.parse(p.read_text()) for p in sorted(bench.glob("*.py")))
+    live = set()
+    while reached := [key for key in definitions.keys() - live
+                      if _is_reached(key, live, used)]:
+        live.update(reached)
+        used |= _names_in(part for key in reached for part in _own_parts(definitions[key]))
+    assert sorted(definitions.keys() - live) == []
     assert sorted(set(TEST_REFERENCES) - set(definitions)) == []

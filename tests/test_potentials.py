@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,6 @@ from pathgibbs.potentials import (
     harmonic,
     interaction_budget,
     nelson_pair,
-    pair_from_table,
-    site_from_table,
     step_pair,
     sufficient_condition_report,
     zero_pair,
@@ -38,16 +37,6 @@ def test_site_potential_values():
         harmonic().evaluate(np.nan)
 
 
-def test_site_table_roundtrip():
-    x = np.linspace(0.0, 3.0, 7)
-    vals = x**3
-    v = site_from_table(x, vals, alpha=27.0)
-    assert v.evaluate_radial(1.0) == pytest.approx(1.0)
-    assert v.evaluate(-2.0) == pytest.approx(8.0)
-    with pytest.raises(ValueError):
-        v.evaluate_radial(5.0)
-
-
 def test_pair_potential_values():
     w = nelson_pair(1.0)
     assert w.evaluate(0.0, 0.0, 0.0) == pytest.approx(-1.0)
@@ -60,18 +49,6 @@ def test_pair_potential_values():
     assert zero_pair().evaluate(1.0, 2.0, 3.0) == 0.0
     with pytest.raises(ValueError):
         w.evaluate(0.0, 0.0, -1.0)
-
-
-def test_pair_table_roundtrip():
-    u = np.array([0.0, 1.0, 2.0])
-    t = np.array([0.0, 1.0])
-    vals = -np.add.outer(u, t)
-    w = pair_from_table(u, t, vals)
-    assert w.evaluate(1.0, 0.0, 1.0) == pytest.approx(-2.0)
-    assert w.evaluate(0.5, 0.0, 0.5) == pytest.approx(-1.0)
-    # declared zero beyond the tabulated time range
-    assert w.evaluate(1.0, 0.0, 5.0) == 0.0
-    assert w.envelope(0.0) == pytest.approx(2.0)
 
 
 def test_interaction_budget_closed_forms():
@@ -101,8 +78,6 @@ RADIAL_CATALOG = [
     constant_pair(0.3),
     nelson_pair(0.7),
     step_pair(1.3),
-    pair_from_table([0.0, 1.0, 4.0], [0.0, 2.0, 5.0],
-                    [[-1.0, -0.5, -0.1], [-0.6, -0.3, 0.2], [0.1, -0.2, 0.0]]),
 ]
 
 
@@ -183,7 +158,7 @@ def test_budget_scales_linearly_in_coupling():
 def test_shifted_alpha_enters_condition():
     v = harmonic(shift=-0.5)
     assert v.effective_alpha == math.inf
-    v2 = box_zero().with_shift(50.0)
+    v2 = replace(box_zero(), shift=50.0)
     rep = sufficient_condition_report(v2, nelson_pair(1.0), mode="monotone")
     assert rep.holds
     assert rep.alpha == pytest.approx(50.0)

@@ -7,8 +7,7 @@ import pytest
 from scipy.special import logsumexp
 
 from pathgibbs.grids import SpaceGrid, TimeGrid
-from pathgibbs.potentials import (harmonic, zero_pair, constant_pair, nelson_pair, step_pair,
-                                  pair_from_table)
+from pathgibbs.potentials import harmonic, zero_pair, constant_pair, nelson_pair, step_pair
 from pathgibbs.spectral import ground_state, heat_kernel, default_grid
 from pathgibbs.reference import stationary_weights, bridge_marginal, make_rng, sample_paths
 from pathgibbs.energy import FrameRegion, SquareRegion, StripRegion, doubled_layout, pair_action
@@ -18,7 +17,7 @@ from pathgibbs.sampler import (
     run_ensemble, empirical_node_marginals, brute_force_measure,
     window_conditional_exact,
     single_move_distribution, enumerate_configs, _Engine,
-    _initial_positions, _run_engine,
+    _initial_positions,
 )
 from pathgibbs import sampler
 
@@ -134,10 +133,9 @@ def test_spec_rejects_kernel_on_another_box():
 # move-level exactness
 
 
-# a tabulated W with nonzero W(0, 0), so the diagonal term of the quadrature counts
-TABLE_PAIR = pair_from_table([0.0, 1.0, 4.0], [0.0, 1.0, 3.0],
-                             [[-1.0, -0.6, -0.1], [-0.5, -0.4, -0.05], [0.0, -0.1, 0.0]])
-CATALOG_PAIRS = [nelson_pair(0.7), step_pair(0.9), constant_pair(0.4), TABLE_PAIR]
+# every catalog kind; W(0, t) = -0.7 / (t^2 + 1) is nonzero and lag-dependent,
+# so the diagonal term of the quadrature counts
+CATALOG_PAIRS = [nelson_pair(0.7), step_pair(0.9), constant_pair(0.4), zero_pair()]
 
 
 @pytest.mark.parametrize("w", CATALOG_PAIRS)
@@ -294,6 +292,17 @@ def test_same_seed_reproduces_chain_exactly():
     assert not np.array_equal(a.positions, other.positions)
 
 
+def test_record_every_keeps_every_kth_sweep():
+    spec = spec_small(nelson_pair(0.5))
+    every = run_ensemble(spec, ChainConfig(sweeps=30, burnin=10, block_len=3, seed=21,
+                                           n_chains=4))
+    third = run_ensemble(spec, ChainConfig(sweeps=30, burnin=10, block_len=3, seed=21,
+                                           n_chains=4, record_every=3))
+    assert np.array_equal(third.positions, every.positions[2::3])
+    assert (third.accept_single, third.accept_block) == (every.accept_single,
+                                                         every.accept_block)
+
+
 def test_pinned_zero_w_marginals_match_exact_bridge():
     gs, kernel = wide_model()
     iy = gs.grid.index_of(0.0)
@@ -344,10 +353,11 @@ def test_low_acceptance_emits_block_length_warning():
 def test_carried_nodes_match_positions(monkeypatch, mode, case):
     engines = []
 
-    def run_and_keep(engine, *args, **kwargs):
-        engines.append(engine)
-        return _run_engine(engine, *args, **kwargs)
-    monkeypatch.setattr(sampler, "_run_engine", run_and_keep)
+    class Recording(_Engine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+    monkeypatch.setattr(sampler, "_Engine", Recording)
     cfg = ChainConfig(sweeps=40, burnin=10, block_len=3, seed=61, n_chains=16, mode=mode)
     boundary = Pinned(-0.5, 0.5) if case == "pinned" else Smeared()
     spec = spec_wide(nelson_pair(0.5), T=2.0, boundary=boundary)

@@ -40,11 +40,8 @@ def test_three_dim_potential_rejected():
 
 
 def test_nonfinite_potential_reported():
-    from pathgibbs.potentials import site_from_table
-
-    v = site_from_table([0.0, 4.0, 8.0], [0.0, np.inf, 0.0], alpha=0.0)
     with pytest.raises(ValueError, match="not finite at grid point"):
-        build_hamiltonian(v, SpaceGrid(-8.0, 8.0, 5))
+        build_hamiltonian(harmonic(shift=math.inf), SpaceGrid(-8.0, 8.0, 5))
 
 
 def test_harmonic_ground_state(harmonic_gs):
