@@ -124,6 +124,8 @@ def _check_number(cfg: dict, section: str, key: str, kind=float) -> None:
     value = cfg[section][key]
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              f"{section}.{key}: expected a number")
+    _require(kind is not int or isinstance(value, int) or value.is_integer(),
+             f"{section}.{key}: expected an integer")
     cfg[section][key] = kind(value)
 
 
@@ -171,6 +173,8 @@ def validate_config(user: dict) -> dict:
              "run.seed: an integer seed is required")
     for key in ("sweeps", "burnin", "block_len", "chains", "record_every"):
         _check_number(cfg, "run", key, kind=int)
+    _require(cfg["run"]["record_every"] <= cfg["run"]["sweeps"],
+             "run.record_every: must not exceed run.sweeps, or nothing is recorded")
     _require(cfg["run"]["mode"] in ("grid", "interp"),
              "run.mode: expected 'grid' or 'interp'")
 

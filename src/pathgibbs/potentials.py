@@ -10,12 +10,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 SINGULARITY_CLAMP_DEFAULT = -1.0e6
-
-# cutoff between numeric quadrature and the analytic envelope tail
-_ENVELOPE_SPLIT = 50.0
 
 
 @dataclass
@@ -98,16 +94,15 @@ def coulomb_3d(clamp: float | None = SINGULARITY_CLAMP_DEFAULT, shift: float = 0
 class PairPotential:
     """Two-time pair potential W(x, y, t) with a declared envelope.
 
-    The envelope dominates |W(x, y, t)| uniformly in (x, y); whether its
-    half-line integral converges is part of the catalog entry
-    (`envelope_integrable`).
+    The envelope dominates |W(x, y, t)| uniformly in (x, y); its
+    half-line integrals are closed forms (`envelope_tail`), infinite where
+    it is not integrable.
     """
 
     kind: str
     coupling: float = 1.0
     value: float = 0.0
     monotone_in_t: bool = False
-    envelope_integrable: bool = True
 
     def __post_init__(self):
         if self.coupling < 0:
@@ -168,9 +163,7 @@ def zero_pair() -> PairPotential:
 
 
 def constant_pair(value: float) -> PairPotential:
-    integrable = value == 0.0
-    return PairPotential("constant", value=value, monotone_in_t=True,
-                         envelope_integrable=integrable)
+    return PairPotential("constant", value=value, monotone_in_t=True)
 
 
 def nelson_pair(coupling: float = 1.0) -> PairPotential:
@@ -192,15 +185,10 @@ def interaction_budget(w: PairPotential) -> float:
     """Twice the half-line envelope integral, 2 * int_0^inf envelope(t) dt.
 
     This bounds the interaction collected by any single instant against the
-    whole time axis, uniformly over paths. Returns inf when the envelope is
-    declared non-integrable.
+    whole time axis, uniformly over paths. It is inf when the envelope is
+    not integrable.
     """
-    if not w.envelope_integrable:
-        return math.inf
-    if w.kind == "zero":
-        return 0.0
-    head, _ = integrate.quad(w.envelope, 0.0, _ENVELOPE_SPLIT, epsabs=1e-13, limit=400)
-    return 2.0 * (head + w.envelope_tail(_ENVELOPE_SPLIT))
+    return 2.0 * w.envelope_tail(0.0)
 
 
 @dataclass

@@ -88,6 +88,9 @@ class ChainConfig:
             raise ValueError(f"unknown sampling mode {self.mode!r}")
         if self.n_chains < 1 or self.record_every < 1:
             raise ValueError("need n_chains >= 1 and record_every >= 1")
+        if self.record_every > self.sweeps:
+            raise ValueError(f"record_every {self.record_every} exceeds sweeps {self.sweeps}; "
+                             "nothing would be recorded")
 
 
 @dataclass
@@ -134,14 +137,15 @@ class _Engine:
     """Batched Metropolis-within-Gibbs kernel over a set of chains.
 
     The interaction region is the full square, and every time index moves
-    except pinned endpoints.  A block needs an anchor on both sides, so
-    block moves never touch the endpoints.
+    except pinned endpoints.  A sweep is one move of length 1 at every
+    free index, then one move of `block_len` at a random start.  A block
+    needs an anchor on both sides, so blocks never touch the endpoints.
 
     Each chain carries its node indices (`nodes`, the grid cell of every
     position) next to its positions, so proposals gather kernel rows
     directly.  W is radial, so a move's interaction change is one
-    `radial` call per state (old and new) against the symmetric weights
-    `sym_w`; the diagonal W(0, 0) terms never change and drop out.
+    `radial` call per state (old and new) on the (chains, length, n_t)
+    slab of the moved indices against all indices.
     """
 
     def __init__(self, spec: GibbsSpec, config: ChainConfig, init: np.ndarray):
@@ -161,6 +165,7 @@ class _Engine:
         offdiag = self.mask.copy()
         np.fill_diagonal(offdiag, 0.0)
         self.sym_w = offdiag + offdiag.T
+        self._slab_w = {}
         self.pos = np.array(init, dtype=float, copy=True)
         if self.pos.shape != (config.n_chains, self.n_t):
             raise ValueError("initial positions have the wrong shape")
@@ -181,75 +186,66 @@ class _Engine:
             z = np.clip(z, self.grid.lower, self.grid.upper)
         return z
 
-    def _site_proposal_probs(self, i: int) -> np.ndarray:
-        if i == 0:
-            return self.psi[None, :] * self.k[self.nodes[:, 1]]
-        left = self.k[self.nodes[:, i - 1]]
-        if i == self.n_t - 1:
-            return left * self.psi[None, :]
-        return left * self.k[self.nodes[:, i + 1]]
+    def _proposal_row(self, s: int, length: int, k: int, cur: np.ndarray) -> np.ndarray:
+        """Unnormalized reference law of node s + k given node `cur` at
+        s + k - 1 and the anchor at s + length, one row per chain.
 
-    def _delta_h_single(self, i: int, z: np.ndarray) -> np.ndarray:
-        lag = self.lags[i]
-        d = (self.w.radial(np.abs(z[:, None] - self.pos), lag)
-             - self.w.radial(np.abs(self.pos[:, i, None] - self.pos), lag))
-        return -(d @ self.sym_w[i])
-
-    def _block_part(self, pos: np.ndarray, s: int, length: int) -> np.ndarray:
-        """Interaction sum over pairs with at least one index in the block.
-
-        Block-block pairs appear twice in the (chains, length, n_t) slab,
-        so they carry half their symmetric weight.
+        psi stands in for the missing neighbour at t = 0 and past the
+        last slice.
         """
-        weights = self.sym_w[s:s + length].copy()
-        weights[:, s:s + length] *= 0.5
-        u = np.abs(pos[:, s:s + length, None] - pos[:, None, :])
-        vals = self.w.radial(u, self.lags[s:s + length])
-        return np.einsum("clj,lj->c", vals, weights)
+        left = self.psi if s + k == 0 else self.k[cur]
+        end = s + length
+        if end == self.n_t:
+            return left * self.psi
+        back = self.k if length - k == 1 else self.spec.kernel.power(length - k)
+        return left * back[self.nodes[:, end]]
 
-    def _delta_h_block(self, s: int, length: int, znew: np.ndarray) -> np.ndarray:
-        pos_new = self.pos.copy()
-        pos_new[:, s:s + length] = znew
-        return -(self._block_part(pos_new, s, length) - self._block_part(self.pos, s, length))
+    def _delta_h(self, s: int, length: int, z: np.ndarray) -> np.ndarray:
+        """ΔH = H_new − H_old of moving indices s, ..., s + length - 1 to z.
 
-    def _site_move(self, i: int):
-        n_c = self.pos.shape[0]
-        probs = self._site_proposal_probs(i)
-        nodes = _sample_categorical_rows(probs, self.rng.random(n_c))
-        z = self._emit(nodes)
-        dh = self._delta_h_single(i, z)
-        accept = np.log(self.rng.random(n_c)) < dh
-        self.pos[accept, i] = z[accept]
-        self.nodes[accept, i] = nodes[accept]
-        self.proposed_single += n_c
-        self.accepted_single += int(accept.sum())
+        H is minus the weighted W sum, so this is (W_old − W_new) times the
+        symmetric weights.  Pairs inside the block appear twice in the
+        (chains, length, n_t) slab, so they carry half their weight; for
+        length 1 that entry is the zero diagonal.
+        """
+        end, pos = s + length, self.pos
+        weights = self._slab_w.get((s, length))
+        if weights is None:
+            weights = self.sym_w[s:end].copy()
+            weights[:, s:end] *= 0.5
+            weights = self._slab_w[s, length] = weights.ravel()
+        new = pos.copy()
+        new[:, s:end] = z
+        lags = self.lags[s:end]
+        d = self.w.radial(np.abs(pos[:, s:end, None] - pos[:, None, :]), lags)
+        d -= self.w.radial(np.abs(new[:, s:end, None] - new[:, None, :]), lags)
+        return d.reshape(len(d), -1) @ weights
 
-    def _block_move(self):
-        if self._block_starts.size == 0:
-            return
-        n_c = self.pos.shape[0]
-        length = self.block_len
-        s = int(self._block_starts[self.rng.integers(self._block_starts.size)])
-        b = self.nodes[:, s + length]
+    def move(self, s: int, length: int) -> int:
+        """One Metropolis move of indices s, ..., s + length - 1 in every
+        chain; returns the number of chains that accepted."""
+        n_c, end = self.pos.shape[0], s + length
         nodes = np.empty((n_c, length), dtype=self.nodes.dtype)
-        cur = self.nodes[:, s - 1]
+        cur = self.nodes[:, s - 1]   # unread when s == 0
         for k in range(length):
-            back = self.spec.kernel.power(length - k)
-            probs = self.k[cur] * back[b]
-            cur = _sample_categorical_rows(probs, self.rng.random(n_c))
+            cur = _sample_categorical_rows(self._proposal_row(s, length, k, cur),
+                                           self.rng.random(n_c))
             nodes[:, k] = cur
-        znew = self._emit(nodes)
-        dh = self._delta_h_block(s, length, znew)
-        accept = np.log(self.rng.random(n_c)) < dh
-        self.pos[accept, s:s + length] = znew[accept]
-        self.nodes[accept, s:s + length] = nodes[accept]
-        self.proposed_block += n_c
-        self.accepted_block += int(accept.sum())
+        z = self._emit(nodes)
+        accept = (np.log(self.rng.random(n_c)) < self._delta_h(s, length, z))[:, None]
+        np.copyto(self.pos[:, s:end], z, where=accept)
+        np.copyto(self.nodes[:, s:end], nodes, where=accept)
+        return int(accept.sum())
 
     def sweep(self):
+        n_c = self.pos.shape[0]
         for i in self.free:
-            self._site_move(i)
-        self._block_move()
+            self.accepted_single += self.move(i, 1)
+        self.proposed_single += n_c * self.free.size
+        if self._block_starts.size:
+            s = int(self._block_starts[self.rng.integers(self._block_starts.size)])
+            self.accepted_block += self.move(s, self.block_len)
+            self.proposed_block += n_c
 
     def acceptance_rates(self):
         single = self.accepted_single / max(self.proposed_single, 1)
@@ -517,23 +513,26 @@ def window_conditional_exact(spec: GibbsSpec, s_half: float,
     return WindowConditional(ids, probs, bridge, frame.envelope_bound(spec.w))
 
 
-def single_move_distribution(spec: GibbsSpec, config_nodes, site: int) -> np.ndarray:
-    """Exact one-site transition law of the grid-mode chain at `site`.
+def move_distribution(spec: GibbsSpec, config_nodes, start: int, length: int) -> np.ndarray:
+    """Exact law of the nodes at start, ..., start + length - 1 after one
+    grid-mode move from the given configuration.
 
-    Returns the distribution of the node at `site` after one proposal and
-    accept/reject step from the given configuration (rejection mass folded
-    into the current node).  Used to verify detailed balance exactly.
+    Built from the engine's own proposal rows and ΔH; the rejection mass is
+    folded into the current nodes.  Shaped (m,) * length, indexed by the
+    new nodes in order.  Used to verify detailed balance exactly.
     """
-    grid = spec.grid
-    m = grid.points
-    cfg = ChainConfig(sweeps=1, burnin=0, seed=0, n_chains=m, mode="grid")
-    init = np.tile(grid.x[np.asarray(config_nodes, dtype=int)], (m, 1))
-    engine = _Engine(spec, cfg, init)
-    q = engine._site_proposal_probs(site)[0]
-    q = q / q.sum()
-    dh = engine._delta_h_single(site, grid.x[np.arange(m)])
-    acc = np.minimum(1.0, np.exp(dh))
-    cur = int(np.asarray(config_nodes)[site])
-    out = q * acc
-    out[cur] += 1.0 - out.sum()
-    return out
+    m, config_nodes = spec.grid.points, np.asarray(config_nodes, dtype=int)
+    sites = list(range(start, start + length))
+    cand = enumerate_configs(m, config_nodes, sites).astype(int)   # one chain per candidate
+    cfg = ChainConfig(sweeps=1, burnin=0, seed=0, n_chains=cand.shape[0], mode="grid")
+    engine = _Engine(spec, cfg, spec.grid.x[np.tile(config_nodes, (cand.shape[0], 1))])
+    rows, cur = np.arange(cand.shape[0]), engine.nodes[:, start - 1]
+    q = np.ones(cand.shape[0])
+    for k, site in enumerate(sites):
+        probs = engine._proposal_row(start, length, k, cur)
+        q *= probs[rows, cand[:, site]] / probs.sum(axis=1)
+        cur = cand[:, site]
+    out = q * np.minimum(1.0, np.exp(engine._delta_h(start, length, spec.grid.x[cand[:, sites]])))
+    current = np.ravel_multi_index(tuple(config_nodes[sites]), (m,) * length)
+    out[current] += 1.0 - out.sum()
+    return out.reshape((m,) * length)

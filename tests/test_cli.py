@@ -69,6 +69,28 @@ def test_type_errors_name_the_field():
         validate_config({"run": {"seed": 1}, "diagnostics": {"t_ladder": []}})
 
 
+def test_integer_fields_reject_fractions():
+    with pytest.raises(ConfigError, match="run.sweeps: expected an integer"):
+        validate_config({"run": {"seed": 1, "sweeps": 20.9}})
+    with pytest.raises(ConfigError, match="grid.points: expected an integer"):
+        validate_config({"run": {"seed": 1}, "grid": {"points": 41.6}})
+    # an integral float is the integer it spells
+    cfg = validate_config({"run": {"seed": 1, "sweeps": 20.0}})
+    assert cfg["run"]["sweeps"] == 20 and isinstance(cfg["run"]["sweeps"], int)
+
+
+@pytest.mark.parametrize("run", [{"sweeps": 20.9}, {"sweeps": 4, "record_every": 5}],
+                         ids=["fractional-sweeps", "record-every-above-sweeps"])
+def test_sample_rejects_unusable_run_fields_with_exit_2(tmp_path, capsys, run):
+    config = write_config(tmp_path / "cfg.json",
+                          **small_instance({f"run.{k}": v for k, v in run.items()}))
+    code, out = run_cli(tmp_path, "sample", config)
+    assert code == 2
+    field = "run.sweeps" if "record_every" not in run else "run.record_every"
+    assert f"error: {field}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_config_file_exits_2(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["conditions", "--config", str(missing)]) == 2

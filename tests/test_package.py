@@ -24,11 +24,13 @@ def test_modules_import_no_private_names_from_siblings():
 
 # Kept although no command, perfbench workload or other module calls them:
 # tests compare the package against them or build their inputs with them.
+# A member is named "Class.member".
 TEST_REFERENCES = {
     "apply_shift": "per-path reference of the batched shift gaps; the check of the shift map",
     "bridge_marginal": "exact bridge law the pinned sampler test compares with",
     "bridge_conditional": "exact one-step bridge law behind the bridge sampler tests",
-    "single_move_distribution": "exact one-site transition law for the detailed-balance test",
+    "move_distribution": "exact law of one site or block move for the detailed-balance tests",
+    "PairPotential.envelope": "pointwise bound the domination tests check |W| against",
     "transition_density": "Ornstein-Uhlenbeck transition law of acceptance criterion 04",
     "verify_fkf": "Feynman-Kac residual of acceptance criterion 03",
     "fkf_convergence": "Feynman-Kac convergence order of acceptance criterion 03",
@@ -78,7 +80,7 @@ def test_every_definition_is_reached_from_a_command_or_the_benchmark():
     # member (any attribute of that name counts; dunders always do)
     package = Path(pathgibbs.__file__).parent
     definitions = {}
-    used = {"main"} | set(TEST_REFERENCES)
+    used = {"main"} | {key.rpartition(".")[2] for key in TEST_REFERENCES}
     for path in sorted(package.glob("*.py")):
         if path.name == "__init__.py":
             continue

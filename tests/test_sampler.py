@@ -16,7 +16,7 @@ from pathgibbs.sampler import (
     Smeared, Pinned, GibbsSpec, ChainConfig,
     run_ensemble, empirical_node_marginals, brute_force_measure,
     window_conditional_exact,
-    single_move_distribution, enumerate_configs, _Engine,
+    move_distribution, enumerate_configs, _Engine,
     _initial_positions,
 )
 from pathgibbs import sampler
@@ -159,36 +159,22 @@ def test_quadrature_matches_energy_module(w):
 
 
 @pytest.mark.parametrize("w", CATALOG_PAIRS)
-def test_incremental_site_update_matches_full_recompute(w):
-    spec = spec_wide(w, T=2.0)
-    cfg = ChainConfig(sweeps=1, burnin=0, seed=3, n_chains=16, mode="interp")
-    rng = make_rng(17)
-    init = rng.normal(scale=1.2, size=(16, spec.timegrid.n_times))
-    engine = _Engine(spec, cfg, init)
-    mask = engine.mask
-    for i in [0, 3, spec.timegrid.n_times - 1]:
-        z = rng.normal(scale=1.2, size=16)
-        new = engine.pos.copy()
-        new[:, i] = z
-        full = (pair_action(w, new, mask, engine.lags)
-                - pair_action(w, engine.pos, mask, engine.lags))
-        assert np.max(np.abs(engine._delta_h_single(i, z) - full)) < 1e-10
-
-
-@pytest.mark.parametrize("w", [nelson_pair(0.6)] + CATALOG_PAIRS[1:])
 def test_incremental_block_update_matches_full_recompute(w):
+    # the one move's ΔH against a full recompute: length 1 at both ends and
+    # at an interior index, and a block of 4
     spec = spec_wide(w, T=2.0)
+    n_t = spec.timegrid.n_times
     cfg = ChainConfig(sweeps=1, burnin=0, seed=4, n_chains=12, mode="interp")
     rng = make_rng(23)
-    init = rng.normal(scale=1.1, size=(12, spec.timegrid.n_times))
+    init = rng.normal(scale=1.1, size=(12, n_t))
     engine = _Engine(spec, cfg, init)
-    s, length = 3, 4
-    znew = rng.normal(scale=1.1, size=(12, length))
-    new = engine.pos.copy()
-    new[:, s:s + length] = znew
-    full = (pair_action(w, new, engine.mask, engine.lags)
-            - pair_action(w, engine.pos, engine.mask, engine.lags))
-    assert np.max(np.abs(engine._delta_h_block(s, length, znew) - full)) < 1e-10
+    for s, length in [(0, 1), (n_t - 1, 1), (3, 1), (3, 4)]:
+        z = rng.normal(scale=1.1, size=(12, length))
+        new = engine.pos.copy()
+        new[:, s:s + length] = z
+        full = (pair_action(w, new, engine.mask, engine.lags)
+                - pair_action(w, engine.pos, engine.mask, engine.lags))
+        assert np.max(np.abs(engine._delta_h(s, length, z) - full)) < 1e-10
 
 
 def test_moves_evaluate_w_at_most_twice():
@@ -204,41 +190,59 @@ def test_moves_evaluate_w_at_most_twice():
     spec = spec_wide(w, T=2.0)
     cfg = ChainConfig(sweeps=1, burnin=0, block_len=3, seed=6, n_chains=8, mode="interp")
     engine = _Engine(spec, cfg, _initial_positions(spec, cfg))
-    for _ in range(3):
+    for s in range(3):
         for i in engine.free:
             calls.clear()
-            engine._site_move(i)
+            engine.move(i, 1)
             assert len(calls) <= 2
         calls.clear()
-        engine._block_move()
+        engine.move(1 + s, 3)
         assert 0 < len(calls) <= 2
 
 
 def test_single_move_distribution_is_a_distribution():
     spec = spec_small(nelson_pair(0.8))
-    dist = single_move_distribution(spec, [0, 2, 4, 1, 3], 2)
+    dist = move_distribution(spec, [0, 2, 4, 1, 3], 2, 1)
     assert abs(dist.sum() - 1.0) < 1e-12
     assert np.all(dist >= 0.0)
+    block = move_distribution(spec, [0, 2, 4, 1, 3], 1, 3)
+    assert block.shape == (5, 5, 5)
+    assert abs(block.sum() - 1.0) < 1e-12
+    assert np.all(block >= 0.0)
+
+
+def detailed_balance_flux(spec, moves):
+    """Stationary flux table[a] * P(a -> b) of the move mixture that picks
+    one (start, length) of `moves` uniformly."""
+    table = brute_force_measure(spec)
+    m, n_cfg = spec.grid.points, table.configs.shape[0]
+    kernel_full = np.zeros((n_cfg, n_cfg))
+    codes = {tuple(c): k for k, c in enumerate(table.configs)}
+    for a in range(n_cfg):
+        cfg = table.configs[a].astype(int)
+        for start, length in moves:
+            dist = move_distribution(spec, cfg, start, length)
+            for values in np.ndindex(dist.shape):
+                target = cfg.copy()
+                target[start:start + length] = values
+                kernel_full[a, codes[tuple(target)]] += dist[values] / len(moves)
+    flux = table.probs[:, None] * kernel_full
+    return np.max(np.abs(flux - flux.T))
 
 
 def test_single_moves_satisfy_detailed_balance_exactly():
     gs, kernel = small_model(points=3)
     spec = GibbsSpec(gs, kernel, nelson_pair(0.8), TimeGrid(0.5, 0.5))
-    table = brute_force_measure(spec)
-    n_cfg = table.configs.shape[0]
-    m, n_t = 3, 3
-    kernel_full = np.zeros((n_cfg, n_cfg))
-    codes = {tuple(c): k for k, c in enumerate(table.configs)}
-    for a in range(n_cfg):
-        cfg = table.configs[a].astype(int)
-        for site in range(n_t):
-            dist = single_move_distribution(spec, cfg, site)
-            for v in range(m):
-                target = cfg.copy()
-                target[site] = v
-                kernel_full[a, codes[tuple(target)]] += dist[v] / n_t
-    flux = table.probs[:, None] * kernel_full
-    assert np.max(np.abs(flux - flux.T)) < 1e-13
+    assert detailed_balance_flux(spec, [(site, 1) for site in range(3)]) < 1e-13
+
+
+@pytest.mark.parametrize("case", ["smeared", "pinned"])
+def test_block_moves_satisfy_detailed_balance_exactly(case):
+    # blocks of 2, uniform over the starts 1 and 2 with both anchors inside
+    gs, kernel = small_model(points=3)
+    boundary = Pinned(gs.grid.x[0], gs.grid.x[2]) if case == "pinned" else Smeared()
+    spec = GibbsSpec(gs, kernel, nelson_pair(0.8), TimeGrid(1.0, 0.5), boundary)
+    assert detailed_balance_flux(spec, [(1, 2), (2, 2)]) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +305,12 @@ def test_record_every_keeps_every_kth_sweep():
     assert np.array_equal(third.positions, every.positions[2::3])
     assert (third.accept_single, third.accept_block) == (every.accept_single,
                                                          every.accept_block)
+
+
+def test_record_every_above_sweeps_raises():
+    with pytest.raises(ValueError, match="record_every"):
+        ChainConfig(sweeps=4, record_every=5)
+    assert ChainConfig(sweeps=4, record_every=4).record_every == 4
 
 
 def test_pinned_zero_w_marginals_match_exact_bridge():
