@@ -159,16 +159,31 @@ def test_quadrature_matches_energy_module(w):
 
 
 @pytest.mark.parametrize("w", CATALOG_PAIRS)
-def test_incremental_block_update_matches_full_recompute(w):
-    # the one move's ΔH against a full recompute: length 1 at both ends and
-    # at an interior index, and a block of 4
+def test_incremental_site_update_matches_full_recompute(w):
+    # the one move at length 1: both ends and an interior index
     spec = spec_wide(w, T=2.0)
-    n_t = spec.timegrid.n_times
+    cfg = ChainConfig(sweeps=1, burnin=0, seed=3, n_chains=16, mode="interp")
+    rng = make_rng(17)
+    init = rng.normal(scale=1.2, size=(16, spec.timegrid.n_times))
+    engine = _Engine(spec, cfg, init)
+    for i in [0, 3, spec.timegrid.n_times - 1]:
+        z = rng.normal(scale=1.2, size=(16, 1))
+        new = engine.pos.copy()
+        new[:, i:i + 1] = z
+        full = (pair_action(w, new, engine.mask, engine.lags)
+                - pair_action(w, engine.pos, engine.mask, engine.lags))
+        assert np.max(np.abs(engine._delta_h(i, 1, z) - full)) < 1e-10
+
+
+@pytest.mark.parametrize("w", [nelson_pair(0.6)] + CATALOG_PAIRS[1:])
+def test_incremental_block_update_matches_full_recompute(w):
+    # the one move at length 4, and at length 1 inside the same engine
+    spec = spec_wide(w, T=2.0)
     cfg = ChainConfig(sweeps=1, burnin=0, seed=4, n_chains=12, mode="interp")
     rng = make_rng(23)
-    init = rng.normal(scale=1.1, size=(12, n_t))
+    init = rng.normal(scale=1.1, size=(12, spec.timegrid.n_times))
     engine = _Engine(spec, cfg, init)
-    for s, length in [(0, 1), (n_t - 1, 1), (3, 1), (3, 4)]:
+    for s, length in [(3, 4), (3, 1)]:
         z = rng.normal(scale=1.1, size=(12, length))
         new = engine.pos.copy()
         new[:, s:s + length] = z
