@@ -120,10 +120,15 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _is_number(value) -> bool:
+    """An int or float within the finite floats; booleans are not numbers here."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def _check_number(cfg: dict, section: str, key: str, kind=float) -> None:
     value = cfg[section][key]
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             f"{section}.{key}: expected a number")
+    _require(_is_number(value), f"{section}.{key}: expected a finite number")
     _require(kind is not int or isinstance(value, int) or value.is_integer(),
              f"{section}.{key}: expected an integer")
     cfg[section][key] = kind(value)
@@ -131,10 +136,8 @@ def _check_number(cfg: dict, section: str, key: str, kind=float) -> None:
 
 def _check_number_list(cfg: dict, section: str, key: str) -> None:
     value = cfg[section][key]
-    _require(isinstance(value, list) and len(value) > 0
-             and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                     for v in value),
-             f"{section}.{key}: expected a non-empty list of numbers")
+    _require(isinstance(value, list) and len(value) > 0 and all(map(_is_number, value)),
+             f"{section}.{key}: expected a non-empty list of finite numbers")
     cfg[section][key] = [float(v) for v in value]
 
 
@@ -154,9 +157,8 @@ def validate_config(user: dict) -> dict:
         _check_number(cfg, "model", key)
     pin = cfg["model"]["pin"]
     if pin is not None:
-        _require(isinstance(pin, list) and len(pin) == 2
-                 and all(isinstance(v, (int, float)) for v in pin),
-                 "model.pin: expected null or a [left, right] pair")
+        _require(isinstance(pin, list) and len(pin) == 2 and all(map(_is_number, pin)),
+                 "model.pin: expected null or a [left, right] pair of finite numbers")
         cfg["model"]["pin"] = [float(v) for v in pin]
 
     for key in ("lower", "upper", "dt", "t_half", "s_half", "radial_rmax"):

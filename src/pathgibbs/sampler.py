@@ -119,18 +119,45 @@ class EnsembleResult:
         return self.positions[:, :, where[0]].T.copy()
 
 
-def _sample_categorical_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One draw per row of an unnormalized probability matrix.
+DRAW_BLOCK = 32   # columns per block of the two-level proposal draw
+_BLOCK_COLUMNS = np.arange(DRAW_BLOCK)
+_SMALLEST = np.nextafter(0.0, 1.0)
 
-    The draw is the first column whose cumulative mass reaches u * total;
-    u < 1, so the last column always qualifies and `argmax` finds it.
+
+def _sample_categorical_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One draw per row of an unnormalized probability matrix: the first
+    column whose cumulative mass reaches u * total (u < 1, so the last
+    column qualifies).  Rows wider than 2 * DRAW_BLOCK draw that law in two
+    levels, a block of DRAW_BLOCK columns (the ragged tail is one more) and
+    then a column in it; where rounding puts the target past the block's
+    own cumulative, its last column with mass is drawn, so no zero-mass or
+    padding column ever is.
     """
-    cdf = np.cumsum(probs, axis=1)
-    total = cdf[:, -1]
+    n_rows, m = probs.shape
+    wide = m > 2 * DRAW_BLOCK
+    if wide:   # column 0 is an empty block, so the mass before block b is cum[:, b - 1]
+        full = m // DRAW_BLOCK
+        sums = np.zeros((n_rows, -(-m // DRAW_BLOCK) + 1))
+        blocks = probs[:, :full * DRAW_BLOCK].reshape(n_rows, full, DRAW_BLOCK)
+        np.matmul(blocks, np.ones(DRAW_BLOCK), out=sums[:, 1:full + 1])
+        if full * DRAW_BLOCK < m:
+            probs[:, full * DRAW_BLOCK:].sum(axis=1, out=sums[:, -1])
+    cum = np.cumsum(sums if wide else probs, axis=1)
+    total = cum[:, -1]
     if (total <= 0.0).any():
         raise ValueError("proposal distribution has zero mass; "
                          "anchors are too far apart for this time step")
-    return np.argmax(cdf >= (u * total)[:, None], axis=1)
+    if not wide:
+        return np.argmax(cum >= (u * total)[:, None], axis=1)
+    target = np.maximum(u * total, _SMALLEST)   # > 0, so the block drawn has mass
+    block = np.argmax(cum >= target[:, None], axis=1)
+    rows = np.arange(n_rows)
+    cols = (block[:, None] - 1) * DRAW_BLOCK + _BLOCK_COLUMNS
+    vals = probs.take(np.minimum(cols, m - 1) + (rows * m)[:, None])   # flat indices
+    vals[cols >= m] = 0.0
+    inner = np.cumsum(vals, axis=1)
+    rest = np.minimum(target - cum[rows, block - 1], inner[:, -1])
+    return cols[rows, np.argmax(inner >= rest[:, None], axis=1)]
 
 
 class _Engine:
@@ -144,8 +171,8 @@ class _Engine:
     Each chain carries its node indices (`nodes`, the grid cell of every
     position) next to its positions, so proposals gather kernel rows
     directly.  W is radial, so a move's interaction change is one
-    `radial` call per state (old and new) on the (chains, length, n_t)
-    slab of the moved indices against all indices.
+    `radial` call on the (2, chains, length, n_t) slabs of the moved
+    indices against all indices, old state and new.
     """
 
     def __init__(self, spec: GibbsSpec, config: ChainConfig, init: np.ndarray):
@@ -193,12 +220,14 @@ class _Engine:
         psi stands in for the missing neighbour at t = 0 and past the
         last slice.
         """
-        left = self.psi if s + k == 0 else self.k[cur]
         end = s + length
-        if end == self.n_t:
-            return left * self.psi
         back = self.k if length - k == 1 else self.spec.kernel.power(length - k)
-        return left * back[self.nodes[:, end]]
+        right = self.psi if end == self.n_t else back[self.nodes[:, end]]
+        if s + k == 0:
+            return self.psi * right
+        row = self.k[cur]   # a fresh copy, so the product is formed in place
+        row *= right
+        return row
 
     def _delta_h(self, s: int, length: int, z: np.ndarray) -> np.ndarray:
         """ΔH = H_new − H_old of moving indices s, ..., s + length - 1 to z.
@@ -214,11 +243,10 @@ class _Engine:
             weights = self.sym_w[s:end].copy()
             weights[:, s:end] *= 0.5
             weights = self._slab_w[s, length] = weights.ravel()
-        new = pos.copy()
-        new[:, s:end] = z
-        lags = self.lags[s:end]
-        d = self.w.radial(np.abs(pos[:, s:end, None] - pos[:, None, :]), lags)
-        d -= self.w.radial(np.abs(new[:, s:end, None] - new[:, None, :]), lags)
+        both = np.array((pos, pos))   # old and new state, one radial call
+        both[1, :, s:end] = z
+        d = self.w.radial(np.abs(both[:, :, s:end, None] - both[:, :, None, :]), self.lags[s:end])
+        d = d[0] - d[1]
         return d.reshape(len(d), -1) @ weights
 
     def move(self, s: int, length: int) -> int:

@@ -79,6 +79,31 @@ def test_integer_fields_reject_fractions():
     assert cfg["run"]["sweeps"] == 20 and isinstance(cfg["run"]["sweeps"], int)
 
 
+@pytest.mark.parametrize("section, key, value, field", [
+    ("grid", "dt", float("inf"), "grid.dt"),
+    ("grid", "upper", float("nan"), "grid.upper"),
+    ("model", "coupling", True, "model.coupling"),
+    ("run", "sweeps", True, "run.sweeps"),
+    ("model", "pin", [True, False], "model.pin"),
+    ("model", "pin", [0.0, float("-inf")], "model.pin"),
+    ("diagnostics", "t_ladder", [1.0, float("nan")], "diagnostics.t_ladder"),
+    ("diagnostics", "r_list", [1.0, False], "diagnostics.r_list"),
+], ids=["dt-inf", "upper-nan", "coupling-bool", "sweeps-bool", "pin-bools", "pin-inf",
+        "t-ladder-nan", "r-list-bool"])
+def test_non_finite_numbers_and_booleans_rejected(section, key, value, field):
+    user = {"run": {"seed": 1}}
+    user.setdefault(section, {})[key] = value
+    with pytest.raises(ConfigError, match=f"^{field}: expected"):
+        validate_config(user)
+
+
+def test_infinity_in_a_config_file_exits_2(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"run": {"seed": 1}, "grid": {"dt": Infinity}}')   # Python's json reads it
+    assert main(["conditions", "--config", str(config)]) == 2
+    assert "error: grid.dt: expected a finite number" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("run", [{"sweeps": 20.9}, {"sweeps": 4, "record_every": 5}],
                          ids=["fractional-sweeps", "record-every-above-sweeps"])
 def test_sample_rejects_unusable_run_fields_with_exit_2(tmp_path, capsys, run):

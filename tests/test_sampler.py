@@ -193,7 +193,7 @@ def test_incremental_block_update_matches_full_recompute(w):
 
 
 def test_moves_evaluate_w_at_most_twice():
-    # one radial call per state (old and new) for a site move and a block move
+    # one radial call, on the stacked old and new states, per site or block move
     w = nelson_pair(0.5)
     calls = []
     radial = w.radial
@@ -209,10 +209,10 @@ def test_moves_evaluate_w_at_most_twice():
         for i in engine.free:
             calls.clear()
             engine.move(i, 1)
-            assert len(calls) <= 2
+            assert len(calls) == 1
         calls.clear()
         engine.move(1 + s, 3)
-        assert 0 < len(calls) <= 2
+        assert len(calls) == 1
 
 
 def test_single_move_distribution_is_a_distribution():
@@ -258,6 +258,70 @@ def test_block_moves_satisfy_detailed_balance_exactly(case):
     boundary = Pinned(gs.grid.x[0], gs.grid.x[2]) if case == "pinned" else Smeared()
     spec = GibbsSpec(gs, kernel, nelson_pair(0.8), TimeGrid(1.0, 0.5), boundary)
     assert detailed_balance_flux(spec, [(1, 2), (2, 2)]) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the proposal draw
+
+
+def first_crossing(probs, u):
+    """Reference draw: one cumsum over the whole row, first column reaching u * total."""
+    cdf = np.cumsum(probs, axis=1)
+    return np.argmax(cdf >= (u * cdf[:, -1])[:, None], axis=1)
+
+
+def awkward_rows(m, rng):
+    """Bump rows floored like kernel products, plus rows whose mass sits only
+    in the ragged tail (or the last block), in every other block, in one
+    column, or in scattered columns between zeros."""
+    block = sampler.DRAW_BLOCK
+    x = np.arange(m)
+    centre = rng.uniform(0, m, (24, 1))
+    width = rng.uniform(0.5, m / 3, (24, 1))
+    rows = np.exp(-0.5 * ((x - centre) / width) ** 2)
+    rows[rows < 1e-150] = 0.0
+    tail = np.zeros((4, m))
+    tail[:, m - (m % block or block):] = rng.random((4, m % block or block))
+    gaps = rng.random((4, m))
+    for b in range(0, m, 2 * block):
+        gaps[:, b:b + block] = 0.0
+    single = np.zeros((4, m))
+    single[np.arange(4), rng.integers(0, m, 4)] = rng.random(4) + 1e-300
+    scattered = rng.random((4, m)) * (rng.random((4, m)) < 0.05)
+    scattered[:, rng.integers(0, m)] = 1.0   # at least one column with mass
+    return np.vstack([rows, tail, gaps, single, scattered])
+
+
+@pytest.mark.parametrize("m", [65, 96, 397, 801])
+def test_two_level_draw_matches_single_cumsum(m):
+    rng = np.random.default_rng(m)
+    draws = 0
+    while draws < 10_000:
+        probs = awkward_rows(m, rng)
+        u = rng.random(probs.shape[0])
+        got = sampler._sample_categorical_rows(probs, u)
+        assert np.array_equal(got, first_crossing(probs, u))
+        draws += probs.shape[0]
+
+
+@pytest.mark.parametrize("m", [65, 96, 397, 801])
+def test_two_level_draw_never_returns_a_zero_mass_column(m):
+    rng = np.random.default_rng(m + 1)
+    rows = np.arange(40)
+    for _ in range(50):
+        probs = awkward_rows(m, rng)
+        for u in (np.zeros(40), np.full(40, np.nextafter(1.0, 0.0)), rng.random(40)):
+            got = sampler._sample_categorical_rows(probs, u)
+            assert np.all((got >= 0) & (got < m))
+            assert np.all(probs[rows, got] > 0.0)
+
+
+@pytest.mark.parametrize("m", [5, 801])
+def test_zero_mass_row_raises(m):
+    probs = np.ones((3, m))
+    probs[1] = 0.0
+    with pytest.raises(ValueError, match="proposal distribution has zero mass"):
+        sampler._sample_categorical_rows(probs, np.full(3, 0.5))
 
 
 # ---------------------------------------------------------------------------
