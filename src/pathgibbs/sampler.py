@@ -120,44 +120,44 @@ class EnsembleResult:
 
 
 DRAW_BLOCK = 32   # columns per block of the two-level proposal draw
-_BLOCK_COLUMNS = np.arange(DRAW_BLOCK)
+_BLOCK_ONES = np.ones(DRAW_BLOCK)
 _SMALLEST = np.nextafter(0.0, 1.0)
 
 
-def _sample_categorical_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _pad_columns(a: np.ndarray) -> np.ndarray:
+    """`a` zero-padded to a multiple of DRAW_BLOCK columns if its rows are
+    wider than 2 * DRAW_BLOCK, so drawn in two levels."""
+    pad = -a.shape[-1] % DRAW_BLOCK if a.shape[-1] > 2 * DRAW_BLOCK else 0
+    return np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, pad)])
+
+
+def _sample_categorical_rows(probs: np.ndarray, u: np.ndarray, sums: np.ndarray) -> np.ndarray:
     """One draw per row of an unnormalized probability matrix: the first
     column whose cumulative mass reaches u * total (u < 1, so the last
-    column qualifies).  Rows wider than 2 * DRAW_BLOCK draw that law in two
-    levels, a block of DRAW_BLOCK columns (the ragged tail is one more) and
-    then a column in it; where rounding puts the target past the block's
-    own cumulative, its last column with mass is drawn, so no zero-mass or
-    padding column ever is.
+    column with mass qualifies).  Rows wider than 2 * DRAW_BLOCK come
+    padded by `_pad_columns` and draw that law in two levels: a block of
+    DRAW_BLOCK columns from the block sums, written to `sums[:, 1:]` (a
+    reused buffer whose column 0 is zero), then a column in it.  Where
+    rounding puts the target past the block's own cumulative, its last
+    column with mass is drawn, so no zero-mass or padding column ever is.
     """
-    n_rows, m = probs.shape
-    wide = m > 2 * DRAW_BLOCK
-    if wide:   # column 0 is an empty block, so the mass before block b is cum[:, b - 1]
-        full = m // DRAW_BLOCK
-        sums = np.zeros((n_rows, -(-m // DRAW_BLOCK) + 1))
-        blocks = probs[:, :full * DRAW_BLOCK].reshape(n_rows, full, DRAW_BLOCK)
-        np.matmul(blocks, np.ones(DRAW_BLOCK), out=sums[:, 1:full + 1])
-        if full * DRAW_BLOCK < m:
-            probs[:, full * DRAW_BLOCK:].sum(axis=1, out=sums[:, -1])
-    cum = np.cumsum(sums if wide else probs, axis=1)
+    n_rows, wide = len(probs), probs.shape[1] > 2 * DRAW_BLOCK
+    if wide:
+        blocks = probs.reshape(n_rows, -1, DRAW_BLOCK)
+        np.matmul(blocks, _BLOCK_ONES, out=sums[:, 1:])
+    cum = (sums if wide else probs).cumsum(axis=1)
     total = cum[:, -1]
-    if (total <= 0.0).any():
+    if not total.all():   # rows are non-negative, so this is a zero total
         raise ValueError("proposal distribution has zero mass; "
                          "anchors are too far apart for this time step")
     if not wide:
-        return np.argmax(cum >= (u * total)[:, None], axis=1)
+        return (cum >= (u * total)[:, None]).argmax(axis=1)
     target = np.maximum(u * total, _SMALLEST)   # > 0, so the block drawn has mass
-    block = np.argmax(cum >= target[:, None], axis=1)
+    block = (cum >= target[:, None]).argmax(axis=1) - 1   # the mass before it is cum[:, block]
     rows = np.arange(n_rows)
-    cols = (block[:, None] - 1) * DRAW_BLOCK + _BLOCK_COLUMNS
-    vals = probs.take(np.minimum(cols, m - 1) + (rows * m)[:, None])   # flat indices
-    vals[cols >= m] = 0.0
-    inner = np.cumsum(vals, axis=1)
-    rest = np.minimum(target - cum[rows, block - 1], inner[:, -1])
-    return cols[rows, np.argmax(inner >= rest[:, None], axis=1)]
+    inner = blocks[rows, block].cumsum(axis=1)
+    rest = np.minimum(target - cum[rows, block], inner[:, -1])
+    return block * DRAW_BLOCK + (inner >= rest[:, None]).argmax(axis=1)
 
 
 class _Engine:
@@ -169,18 +169,19 @@ class _Engine:
     needs an anchor on both sides, so blocks never touch the endpoints.
 
     Each chain carries its node indices (`nodes`, the grid cell of every
-    position) next to its positions, so proposals gather kernel rows
-    directly.  W is radial, so a move's interaction change is one
-    `radial` call on the (2, chains, length, n_t) slabs of the moved
-    indices against all indices, old state and new.
+    position) next to its positions, so proposals gather rows of K, psi
+    and kernel powers, held padded for the draw, directly.  W is radial,
+    so a move's interaction change is one `radial` call on the (2, chains,
+    length, n_t) slabs of the moved indices against all indices, old state
+    and new.  A sweep's site moves share one draw of uniforms.
     """
 
     def __init__(self, spec: GibbsSpec, config: ChainConfig, init: np.ndarray):
         self.spec = spec
         self.w = spec.w
         self.grid = spec.grid
-        self.k = spec.kernel.matrix
-        self.psi = spec.gs.psi
+        self.psi = _pad_columns(spec.gs.psi)
+        self._rows = {1: _pad_columns(spec.kernel.matrix)}   # padded K^j by j
         self.mode = config.mode
         tg = spec.timegrid
         self.n_t = tg.n_times
@@ -197,6 +198,8 @@ class _Engine:
         if self.pos.shape != (config.n_chains, self.n_t):
             raise ValueError("initial positions have the wrong shape")
         self.nodes = self.grid.nearest_index(self.pos)
+        self._row, self._right = np.empty((2, config.n_chains, self.psi.size))   # proposal rows
+        self._sums = np.zeros((config.n_chains, self.psi.size // DRAW_BLOCK + 1))   # block sums
         self.rng = make_rng(config.seed, 11)
         self.block_len = config.block_len
         # starts s with both anchors s - 1 and s + L on the grid
@@ -206,26 +209,37 @@ class _Engine:
         self.accepted_block = 0
         self.proposed_block = 0
 
-    def _emit(self, nodes: np.ndarray) -> np.ndarray:
+    def _uniforms(self, n_moves: int, length: int):
+        """One call for the uniforms of `n_moves` moves of `length`, split in
+        the order a move reads them: the draws (n_moves, length, chains), the
+        (chains, length) jitter as (u - 0.5) * h (None in grid mode), and
+        the log acceptance uniforms (n_moves, chains)."""
+        n_c, jittered, width = self.pos.shape[0], self.mode == "interp", length * self.pos.shape[0]
+        u = self.rng.random((n_moves, (1 + jittered) * width + n_c))
+        jitter = ((u[:, width:2 * width] - 0.5) * self.grid.h).reshape(n_moves, n_c, length) \
+            if jittered else [None] * n_moves
+        return u[:, :width].reshape(n_moves, length, n_c), jitter, np.log(u[:, -n_c:])
+
+    def _emit(self, nodes: np.ndarray, jitter) -> np.ndarray:
         z = self.grid.x[nodes]
-        if self.mode == "interp":
-            z = z + (self.rng.random(nodes.shape) - 0.5) * self.grid.h
-            z = np.clip(z, self.grid.lower, self.grid.upper)
+        if jitter is not None:
+            z += jitter
+            np.maximum(z, self.grid.lower, out=z)
+            np.minimum(z, self.grid.upper, out=z)
         return z
 
     def _proposal_row(self, s: int, length: int, k: int, cur: np.ndarray) -> np.ndarray:
         """Unnormalized reference law of node s + k given node `cur` at
-        s + k - 1 and the anchor at s + length, one row per chain.
-
-        psi stands in for the missing neighbour at t = 0 and past the
-        last slice.
-        """
-        end = s + length
-        back = self.k if length - k == 1 else self.spec.kernel.power(length - k)
-        right = self.psi if end == self.n_t else back[self.nodes[:, end]]
+        s + k - 1 and the anchor at s + length, one row per chain; psi
+        stands in for the missing neighbour at t = 0 and past the last slice."""
+        end, j = s + length, length - k
+        if j not in self._rows:
+            self._rows[j] = _pad_columns(self.spec.kernel.power(j))
+        right = self.psi if end == self.n_t else \
+            self._rows[j].take(self.nodes[:, end], axis=0, out=self._right, mode="clip")
         if s + k == 0:
             return self.psi * right
-        row = self.k[cur]   # a fresh copy, so the product is formed in place
+        row = self._rows[1].take(cur, axis=0, out=self._row, mode="clip")   # nodes are in range
         row *= right
         return row
 
@@ -252,23 +266,28 @@ class _Engine:
     def move(self, s: int, length: int) -> int:
         """One Metropolis move of indices s, ..., s + length - 1 in every
         chain; returns the number of chains that accepted."""
+        draws, jitter, log_u = self._uniforms(1, length)
+        return self._apply(s, length, draws[0], jitter[0], log_u[0])
+
+    def _apply(self, s: int, length: int, draws, jitter, log_u) -> int:
+        """`move` with its uniforms given, as split by `_uniforms`."""
         n_c, end = self.pos.shape[0], s + length
         nodes = np.empty((n_c, length), dtype=self.nodes.dtype)
         cur = self.nodes[:, s - 1]   # unread when s == 0
         for k in range(length):
             cur = _sample_categorical_rows(self._proposal_row(s, length, k, cur),
-                                           self.rng.random(n_c))
+                                           draws[k], self._sums)
             nodes[:, k] = cur
-        z = self._emit(nodes)
-        accept = (np.log(self.rng.random(n_c)) < self._delta_h(s, length, z))[:, None]
+        z = self._emit(nodes, jitter)
+        accept = (log_u < self._delta_h(s, length, z))[:, None]
         np.copyto(self.pos[:, s:end], z, where=accept)
         np.copyto(self.nodes[:, s:end], nodes, where=accept)
-        return int(accept.sum())
+        return np.count_nonzero(accept)
 
     def sweep(self):
         n_c = self.pos.shape[0]
-        for i in self.free:
-            self.accepted_single += self.move(i, 1)
+        for i, draws, jitter, log_u in zip(self.free, *self._uniforms(self.free.size, 1)):
+            self.accepted_single += self._apply(i, 1, draws, jitter, log_u)
         self.proposed_single += n_c * self.free.size
         if self._block_starts.size:
             s = int(self._block_starts[self.rng.integers(self._block_starts.size)])

@@ -264,6 +264,13 @@ def test_block_moves_satisfy_detailed_balance_exactly(case):
 # the proposal draw
 
 
+def draw(probs, u):
+    """The engine's draw, on rows zero-padded as the engine holds them."""
+    padded = sampler._pad_columns(probs)
+    sums = np.zeros((len(probs), padded.shape[1] // sampler.DRAW_BLOCK + 1))
+    return sampler._sample_categorical_rows(padded, u, sums)
+
+
 def first_crossing(probs, u):
     """Reference draw: one cumsum over the whole row, first column reaching u * total."""
     cdf = np.cumsum(probs, axis=1)
@@ -273,7 +280,7 @@ def first_crossing(probs, u):
 def awkward_rows(m, rng):
     """Bump rows floored like kernel products, plus rows whose mass sits only
     in the ragged tail (or the last block), in every other block, in one
-    column, or in scattered columns between zeros."""
+    column, in the last column alone, or in scattered columns between zeros."""
     block = sampler.DRAW_BLOCK
     x = np.arange(m)
     centre = rng.uniform(0, m, (24, 1))
@@ -289,7 +296,9 @@ def awkward_rows(m, rng):
     single[np.arange(4), rng.integers(0, m, 4)] = rng.random(4) + 1e-300
     scattered = rng.random((4, m)) * (rng.random((4, m)) < 0.05)
     scattered[:, rng.integers(0, m)] = 1.0   # at least one column with mass
-    return np.vstack([rows, tail, gaps, single, scattered])
+    last = np.zeros((1, m))
+    last[0, m - 1] = rng.random() + 1e-300   # right before the zero padding
+    return np.vstack([rows, tail, gaps, single, last, scattered])
 
 
 @pytest.mark.parametrize("m", [65, 96, 397, 801])
@@ -299,21 +308,23 @@ def test_two_level_draw_matches_single_cumsum(m):
     while draws < 10_000:
         probs = awkward_rows(m, rng)
         u = rng.random(probs.shape[0])
-        got = sampler._sample_categorical_rows(probs, u)
+        got = draw(probs, u)
         assert np.array_equal(got, first_crossing(probs, u))
         draws += probs.shape[0]
 
 
 @pytest.mark.parametrize("m", [65, 96, 397, 801])
 def test_two_level_draw_never_returns_a_zero_mass_column(m):
+    # nor a padding column: got < m
     rng = np.random.default_rng(m + 1)
-    rows = np.arange(40)
+    rows = np.arange(41)
     for _ in range(50):
         probs = awkward_rows(m, rng)
-        for u in (np.zeros(40), np.full(40, np.nextafter(1.0, 0.0)), rng.random(40)):
-            got = sampler._sample_categorical_rows(probs, u)
+        for u in (np.zeros(41), np.full(41, np.nextafter(1.0, 0.0)), rng.random(41)):
+            got = draw(probs, u)
             assert np.all((got >= 0) & (got < m))
             assert np.all(probs[rows, got] > 0.0)
+            assert got[36] == m - 1   # the row whose only mass is its last column
 
 
 @pytest.mark.parametrize("m", [5, 801])
@@ -321,7 +332,7 @@ def test_zero_mass_row_raises(m):
     probs = np.ones((3, m))
     probs[1] = 0.0
     with pytest.raises(ValueError, match="proposal distribution has zero mass"):
-        sampler._sample_categorical_rows(probs, np.full(3, 0.5))
+        draw(probs, np.full(3, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +465,67 @@ def test_carried_nodes_match_positions(monkeypatch, mode, case):
     engine, = engines
     assert engine.accepted_single > 0
     assert np.array_equal(engine.nodes, spec.grid.nearest_index(engine.pos))
+
+
+class PerMoveEngine(_Engine):
+    """Reference engine that draws each move's uniforms in separate calls:
+    rng.random(C) per index's draw, rng.random((C, L)) for the jitter and
+    rng.random(C) for acceptance."""
+
+    def move(self, s, length):
+        n_c, end = self.pos.shape[0], s + length
+        nodes = np.empty((n_c, length), dtype=self.nodes.dtype)
+        cur = self.nodes[:, s - 1]
+        for k in range(length):
+            cur = sampler._sample_categorical_rows(self._proposal_row(s, length, k, cur),
+                                                   self.rng.random(n_c), self._sums)
+            nodes[:, k] = cur
+        z = self.grid.x[nodes]
+        if self.mode == "interp":
+            z = np.clip(z + (self.rng.random(nodes.shape) - 0.5) * self.grid.h,
+                        self.grid.lower, self.grid.upper)
+        accept = (np.log(self.rng.random(n_c)) < self._delta_h(s, length, z))[:, None]
+        np.copyto(self.pos[:, s:end], z, where=accept)
+        np.copyto(self.nodes[:, s:end], nodes, where=accept)
+        return int(accept.sum())
+
+    def sweep(self):
+        n_c = self.pos.shape[0]
+        for i in self.free:
+            self.accepted_single += self.move(i, 1)
+        self.proposed_single += n_c * self.free.size
+        if self._block_starts.size:
+            s = int(self._block_starts[self.rng.integers(self._block_starts.size)])
+            self.accepted_block += self.move(s, self.block_len)
+            self.proposed_block += n_c
+
+
+@pytest.mark.parametrize("points", [97, 5])
+@pytest.mark.parametrize("mode", ["interp", "grid"])
+@pytest.mark.parametrize("case", ["smeared", "pinned"])
+def test_one_draw_per_sweep_keeps_the_per_move_stream(monkeypatch, points, mode, case):
+    # M = 97 draws in two levels over a ragged, zero-padded row; M = 5 in one
+    gs, kernel = small_model(points)
+    ends = gs.grid.x[[points // 2 - 1, points // 2 + 1]]
+    boundary = Pinned(*ends) if case == "pinned" else Smeared()
+    spec = GibbsSpec(gs, kernel, nelson_pair(0.5), TimeGrid(2.0, 0.5), boundary)
+    cfg = ChainConfig(sweeps=30, burnin=5, block_len=3, seed=71, n_chains=8, mode=mode)
+    runs = []
+    for engine_class in (_Engine, PerMoveEngine):
+        engines = []
+
+        class Recording(engine_class):
+            def __init__(self, *args):
+                super().__init__(*args)
+                engines.append(self)
+        monkeypatch.setattr(sampler, "_Engine", Recording)
+        result = run_ensemble(spec, cfg)
+        runs.append((result, engines[0]))
+    (new, new_engine), (ref, ref_engine) = runs
+    assert 0.0 < new.accept_single < 1.0
+    assert new.positions.tobytes() == ref.positions.tobytes()
+    assert new_engine.nodes.tobytes() == ref_engine.nodes.tobytes()
+    assert (new.accept_single, new.accept_block) == (ref.accept_single, ref.accept_block)
 
 
 # ---------------------------------------------------------------------------
