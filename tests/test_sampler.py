@@ -315,7 +315,7 @@ def test_two_level_draw_matches_single_cumsum(m):
 
 @pytest.mark.parametrize("m", [65, 96, 397, 801])
 def test_two_level_draw_never_returns_a_zero_mass_column(m):
-    # nor a padding column: got < m
+    # nor a padding column (got < m)
     rng = np.random.default_rng(m + 1)
     rows = np.arange(41)
     for _ in range(50):
