@@ -15,7 +15,7 @@ supremum, so constants are fitted and trends tested, never proved.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, ndtri
+from scipy.special import ndtri
 
 from .grids import TimeGrid
 from .potentials import PairPotential
@@ -26,8 +26,8 @@ from .stats import (total_variation, integrated_autocorr_time,
                     wilson_interval)
 from .energy import doubled_layout
 from .sampler import (GibbsSpec, ChainConfig, Smeared, run_ensemble,
-                      brute_force_measure, check_enumerable, enumerate_configs,
-                      enumerated_log_weights)
+                      brute_force_measure, check_enumerable, enumerated_log_weights,
+                      log_sum_exp)
 
 
 # ---------------------------------------------------------------------------
@@ -340,34 +340,25 @@ def doubled_moment_exact(gs: GroundState, kernel: HeatKernel, w: PairPotential,
     forward over [0, T] and the four interaction terms couple same-leg pairs
     at lag |s-t| and cross-leg pairs at lag s+t.
     """
-    grid = gs.grid
-    m = grid.points
+    m = gs.grid.points
     n_steps = int(round(T / kernel.dt))
     if abs(n_steps * kernel.dt - T) > 1e-9 or n_steps < 1:
         raise ValueError("T must be a positive multiple of the kernel step")
     check_enumerable(m, 2 * n_steps + 2)
-    if w.kind in ("zero", "constant"):
-        # a configuration-independent interaction factors out of the
-        # conditional expectation
-        value = w.value if w.kind == "constant" else 0.0
-        return np.full((m, m), np.exp(-4.0 * value * (n_steps * kernel.dt) ** 2))
-
+    if w.kind == "constant":   # a configuration-independent interaction factors out
+        return np.full((m, m), np.exp(-4.0 * w.value * (n_steps * kernel.dt) ** 2))
     # columns in doubled_layout order: leg a's instants, then leg b's; the
-    # enumeration runs over both starts first, so each start pair owns a
-    # contiguous block of rows
+    # enumeration lists both starts first, so they take its first two axes
     b0 = n_steps + 1
     starts_first = [0, b0, *range(1, b0), *range(b0 + 1, 2 * b0)]
-    cols = enumerate_configs(m, np.zeros(2 * b0, dtype=int), starts_first)
     steps = [pair for k in range(n_steps) for pair in ((k, k + 1), (b0 + k, b0 + k + 1))]
     with np.errstate(divide="ignore"):
         log_p = np.log(transfer_matrix(gs, kernel))
     mask, lags = doubled_layout(n_steps, kernel.dt)
-    log_ref, log_weights = enumerated_log_weights(cols, log_p, steps, None, w, grid.x, mask, lags)
-
-    per_start = m ** (2 * n_steps)
-    lw = log_weights.reshape(m * m, per_start)
-    lr = log_ref.reshape(m * m, per_start)
-    return np.exp(logsumexp(lw, axis=1) - logsumexp(lr, axis=1)).reshape(m, m)
+    log_ref, log_weights = enumerated_log_weights(np.zeros(2 * b0, dtype=int), starts_first,
+                                                  log_p, steps, None, w, gs.grid.x, mask, lags)
+    return np.exp(log_sum_exp(log_weights.reshape(m, m, -1), axis=2)
+                  - log_sum_exp(log_ref.reshape(m, m, -1), axis=2))
 
 
 def ratio_bound_check(gs: GroundState, kernel: HeatKernel, w: PairPotential,

@@ -3,10 +3,10 @@
 The energy of a path over a region R of the (t, s) plane is the 2D
 trapezoid quadrature of -W(|x_t - x_s|, |t - s|). A region is a signed
 sum of rectangles (inclusion-exclusion) that becomes a weight mask on the
-path's own time grid, and every energy in the package, for one path or a
-batch, goes through the one quadrature `pair_action`. The strip, which is
-unbounded in the paper, truncates at a finite horizon; its envelope bound
-already covers the whole unbounded strip.
+path's own time grid, and every energy in the package, for one path, a
+batch or an enumeration, goes through the one quadrature `pair_terms`. The
+strip, which is unbounded in the paper, truncates at a finite horizon; its
+envelope bound already covers the whole unbounded strip.
 """
 
 from dataclasses import dataclass
@@ -17,23 +17,24 @@ from .grids import Path, TimeGrid
 from .potentials import PairPotential, interaction_budget
 
 
-def pair_action(w: PairPotential, positions: np.ndarray,
-                mask: np.ndarray, lags: np.ndarray) -> np.ndarray:
-    """H = -sum_ij mask_ij W(|x_i - x_j|, lags_ij) for a batch of paths.
-
-    `positions` holds one path per row (or is a single 1-d path); `lags`
-    must be symmetric. W is radial, so each unordered pair i < j is
-    evaluated once with weight mask_ij + mask_ji, and the diagonal, where
-    u = 0, adds the path-independent constant diag(mask) @ W(0, diag(lags)).
-    """
+def pair_terms(w: PairPotential, mask: np.ndarray, lags: np.ndarray):
+    """The terms of H = -sum_ij mask_ij W(|x_i - x_j|, lags_ij), `lags` symmetric:
+    (i, j, weight, lag) of each unordered pair i < j whose weight mask_ij +
+    mask_ji is nonzero (W is radial), and the path-independent diagonal,
+    where u = 0, diag(mask) @ W(0, diag(lags))."""
     if np.any(lags < 0):
         raise ValueError("pair potential needs t >= 0")
-    x = np.ascontiguousarray(np.atleast_2d(positions).T)   # one row per time slice
     sym = mask + mask.T
     i, j = np.nonzero(np.triu(sym, k=1))
-    vals = w.radial(np.abs(x[i] - x[j]), lags[i, j][:, None])
-    diagonal = np.diagonal(mask) @ w.radial(0.0, np.diagonal(lags))
-    return -(sym[i, j] @ vals + diagonal)
+    return i, j, sym[i, j], lags[i, j], np.diagonal(mask) @ w.radial(0.0, np.diagonal(lags))
+
+
+def pair_action(w: PairPotential, positions: np.ndarray,
+                mask: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """H of `pair_terms` for one path per row of `positions` (or one 1-d path)."""
+    i, j, weight, lag, diagonal = pair_terms(w, mask, lags)
+    x = np.ascontiguousarray(np.atleast_2d(positions).T)   # one row per time slice
+    return -(weight @ w.radial(np.abs(x[i] - x[j]), lag[:, None]) + diagonal)
 
 
 @dataclass(frozen=True)

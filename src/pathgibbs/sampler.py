@@ -12,7 +12,7 @@ Small instances (few space nodes, few time slices) are enumerated exactly:
 the configuration outside it.  These serve as oracles for the chain.  Every
 enumeration in the package, the doubled moments of the diagnostics
 included, asks one size rule (`check_enumerable`) and gets its reference
-log-mass and pair action from one chunked pass (`enumerated_log_weights`).
+log-mass and pair action from one broadcast build (`enumerated_log_weights`).
 """
 
 from dataclasses import dataclass, field
@@ -20,13 +20,12 @@ import json
 import warnings
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .grids import SpaceGrid, TimeGrid
 from .potentials import PairPotential
 from .spectral import GroundState, HeatKernel
 from .reference import make_rng, sample_paths, sample_bridge
-from .energy import FrameRegion, SquareRegion, pair_action
+from .energy import FrameRegion, SquareRegion, pair_terms
 
 
 @dataclass(frozen=True)
@@ -376,7 +375,6 @@ def write_snapshots_jsonl(result: EnsembleResult, file) -> None:
 MAX_ORACLE_CONFIGS = 10 ** 7
 MAX_ORACLE_NODES = 9
 MAX_ORACLE_TIMES = 7
-ORACLE_CHUNK = 2 ** 15   # rows per pass; keeps the per-chunk pair arrays cache-sized
 
 
 def check_enumerable(m: int, sites: int, n_times: int | None = None) -> None:
@@ -407,7 +405,6 @@ class BruteForceTable:
     spec: GibbsSpec
     configs: np.ndarray      # (n_cfg, n_times) node indices, int8
     probs: np.ndarray
-    log_weights: np.ndarray
     log_z: float
     ref_log_mass: float
 
@@ -437,48 +434,59 @@ class BruteForceTable:
         return flat.reshape((m,) * len(ids))
 
 
-def enumerate_configs(m: int, base, sites) -> np.ndarray:
-    """Copies of the node row `base` with every assignment to the columns
-    `sites`, lexicographic in the order `sites` lists them; the entries of
-    `base` at `sites` are ignored.  Node indices are int8 whenever they fit
-    (m <= 128)."""
-    sites = list(sites)
+def log_sum_exp(a: np.ndarray, axis=None):
+    """log(sum(exp(a))) over `axis` with one temporary; all -inf gives -inf."""
+    peak = np.max(a, axis=axis, keepdims=True)
+    peak[~np.isfinite(peak)] = 0.0
+    shifted = np.subtract(a, peak)
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(shifted, out=shifted).sum(axis=axis)) + np.squeeze(peak, axis=axis)
+
+
+def _column_nodes(m: int, base, sites) -> list:
+    """Per column, its node in `base` or, for `sites`, an index array on its own axis."""
     check_enumerable(m, len(sites))
-    base = np.asarray(base)
-    held = np.delete(base, sites)
-    if np.any((held < 0) | (held >= m)):
+    nodes = list(np.asarray(base))
+    if any(not 0 <= node < m for column, node in enumerate(nodes) if column not in sites):
         raise ValueError(f"node indices must lie in [0, {m})")
-    dtype = np.min_scalar_type(-m)
-    configs = np.tile(base.astype(dtype), (m ** len(sites), 1))
-    view = configs.reshape((m,) * len(sites) + (base.size,))   # one axis per site
-    for site, nodes in zip(sites, np.indices((m,) * len(sites), dtype=dtype, sparse=True)):
-        view[..., site] = nodes
-    return configs
+    for site, axis in zip(sites, np.indices((m,) * len(sites), sparse=True)):
+        nodes[site] = axis
+    return nodes
 
 
-def enumerated_log_weights(configs: np.ndarray, log_step: np.ndarray, steps, ends,
+def enumerate_configs(m: int, base, sites) -> np.ndarray:
+    """Copies of the node row `base` with every assignment to the columns `sites`,
+    lexicographic in the order `sites` lists them (their `base` entries are
+    ignored); node indices are int8 whenever they fit (m <= 128)."""
+    nodes = _column_nodes(m, base, sites)
+    configs = np.empty((m,) * len(sites) + (len(nodes),), dtype=np.min_scalar_type(-m))
+    for column, node in enumerate(nodes):
+        configs[..., column] = node
+    return configs.reshape(-1, len(nodes))
+
+
+def enumerated_log_weights(base, sites, log_step: np.ndarray, steps, ends,
                            w: PairPotential, x: np.ndarray, mask: np.ndarray,
                            lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reference log-mass and log-weight of every enumerated configuration.
-
-    Rows of `configs` are node indices in the column layout of `mask` and
-    `lags`.  A row's reference log-mass sums log_step[a, b] over the column
-    pairs (a, b) in `steps`, in that order, plus, unless `ends` is None,
-    ends[0] at its first node and ends[1] at its last.  Its log-weight adds
-    the pair action at positions x[row].  Both come from one pass over
-    chunks of ORACLE_CHUNK rows.
+    """Reference log-mass and log-weight of every assignment to the columns
+    `sites` of `base`: (m,) * len(sites) arrays, m = x.size, whose flat order
+    is that of `enumerate_configs`.  The log-mass sums log_step[a, b] over
+    `steps`, plus ends[0] and ends[1] at the first and last column unless
+    `ends` is None; the log-weight adds the `energy.pair_terms`, diagonal
+    first.  Each table is gathered at the column nodes, which puts its first
+    index on a's axis and its second on b's, and added in place.
     """
-    log_ref, log_weights = np.zeros(configs.shape[0]), np.empty(configs.shape[0])
-    for lo in range(0, configs.shape[0], ORACLE_CHUNK):
-        rows = configs[lo:lo + ORACLE_CHUNK]
-        ref = log_ref[lo:lo + ORACLE_CHUNK]   # a view, summed in place
-        for a, b in steps:
-            ref += log_step[rows[:, a], rows[:, b]]
-        if ends is not None:
-            ref += ends[0][rows[:, 0]] + ends[1][rows[:, -1]]
-        # column-major positions are already pair_action's one-row-per-slice layout
-        positions = x[np.asfortranarray(rows)]
-        np.add(ref, pair_action(w, positions, mask, lags), out=log_weights[lo:lo + ORACLE_CHUNK])
+    nodes = _column_nodes(x.size, base, sites)
+    log_ref = np.zeros((x.size,) * len(sites))
+    for a, b in steps:
+        log_ref += log_step[nodes[a], nodes[b]]
+    if ends is not None:
+        log_ref += ends[0][nodes[0]] + ends[1][nodes[-1]]
+    i, j, weight, lag, diagonal = pair_terms(w, mask, lags)
+    tables = weight[:, None, None] * w.radial(np.abs(x[:, None] - x), lag[:, None, None])
+    log_weights = log_ref - diagonal
+    for table, a, b in zip(tables, i, j):
+        log_weights -= table[nodes[a], nodes[b]]
     return log_ref, log_weights
 
 
@@ -497,12 +505,13 @@ def brute_force_measure(spec: GibbsSpec) -> BruteForceTable:
     check_enumerable(m, len(free), n_t)
     configs = enumerate_configs(m, base, free)
     log_ref, log_weights = enumerated_log_weights(
-        configs, log_k, [(k, k + 1) for k in range(n_t - 1)], ends,
+        base, free, log_k, [(k, k + 1) for k in range(n_t - 1)], ends,
         spec.w, grid.x, SquareRegion(tg.T).weights(tg), tg.lags())
-    ref_log_mass = float(logsumexp(log_ref))
-    norm = float(logsumexp(log_weights))
-    probs = np.exp(log_weights - norm)
-    table = BruteForceTable(spec, configs, probs, log_weights,
+    ref_log_mass = float(log_sum_exp(log_ref))
+    del log_ref   # free it before the next log-sum-exp takes its temporary
+    norm = float(log_sum_exp(log_weights))
+    probs = np.exp(np.subtract(log_weights, norm, out=log_weights), out=log_weights)
+    table = BruteForceTable(spec, configs, probs.reshape(-1),
                             log_z=norm - ref_log_mass, ref_log_mass=ref_log_mass)
     if not np.isfinite(table.log_z):
         raise ValueError("degenerate instance: zero total weight")
@@ -547,16 +556,14 @@ def window_conditional_exact(spec: GibbsSpec, s_half: float,
     """
     grid, tg = spec.grid, spec.timegrid
     ids = _window_interior(tg, s_half)
-    composite = enumerate_configs(grid.points, outside_config, ids)
     with np.errstate(divide="ignore"):
         log_k = np.log(spec.kernel.matrix)
     frame = FrameRegion(s_half, tg.T)
     log_ref, log_weights = enumerated_log_weights(
-        composite, log_k, [(k, k + 1) for k in range(ids[0] - 1, ids[-1] + 1)], None,
+        outside_config, ids, log_k, [(k, k + 1) for k in range(ids[0] - 1, ids[-1] + 1)], None,
         spec.w, grid.x, frame.weights(tg), tg.lags())
-    shape = (grid.points,) * ids.size
-    probs = np.exp(log_weights - logsumexp(log_weights)).reshape(shape)
-    bridge = np.exp(log_ref - logsumexp(log_ref)).reshape(shape)
+    probs = np.exp(log_weights - log_sum_exp(log_weights))
+    bridge = np.exp(log_ref - log_sum_exp(log_ref))
     return WindowConditional(ids, probs, bridge, frame.envelope_bound(spec.w))
 
 

@@ -1,6 +1,8 @@
 """Sampler tests: exact oracles, detailed balance, and chain correctness."""
 
 import functools
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,13 +11,14 @@ from scipy.special import logsumexp
 from pathgibbs.grids import SpaceGrid, TimeGrid
 from pathgibbs.potentials import harmonic, zero_pair, constant_pair, nelson_pair, step_pair
 from pathgibbs.spectral import ground_state, heat_kernel, default_grid
-from pathgibbs.reference import stationary_weights, bridge_marginal, make_rng, sample_paths
+from pathgibbs.reference import (stationary_weights, bridge_marginal, make_rng, sample_paths,
+                                 transfer_matrix)
 from pathgibbs.energy import FrameRegion, SquareRegion, StripRegion, doubled_layout, pair_action
 from pathgibbs.stats import total_variation, ks_statistic_atomic
 from pathgibbs.sampler import (
     Smeared, Pinned, GibbsSpec, ChainConfig,
     run_ensemble, empirical_node_marginals, brute_force_measure,
-    window_conditional_exact,
+    window_conditional_exact, enumerated_log_weights, log_sum_exp,
     move_distribution, enumerate_configs, _Engine,
     _initial_positions,
 )
@@ -107,10 +110,10 @@ def test_brute_force_size_caps():
 
 
 def test_oracle_pass_across_chunk_boundary():
-    # 9 nodes and 5 slices give 59 049 configurations: two chunks of the pass
+    # 9 nodes and 5 slices give 59 049 configurations, each recomputed on its own
     spec = spec_small(nelson_pair(0.5), T=1.0, points=9)
     table = brute_force_measure(spec)
-    assert table.configs.shape[0] == 9 ** 5 > sampler.ORACLE_CHUNK
+    assert table.configs.shape[0] == 9 ** 5
     c = table.configs.astype(np.int64)
     log_k, log_psi = np.log(spec.kernel.matrix), np.log(spec.gs.psi)
     log_ref = np.log(spec.grid.h) + log_psi[c[:, 0]] + log_psi[c[:, -1]]
@@ -118,8 +121,88 @@ def test_oracle_pass_across_chunk_boundary():
         log_ref += log_k[c[:, k], c[:, k + 1]]
     tg = spec.timegrid
     action = pair_action(spec.w, spec.grid.x[c], SquareRegion(tg.T).weights(tg), tg.lags())
-    assert np.max(np.abs(table.log_weights - (log_ref + action))) < 1e-12
+    log_weights = np.log(table.probs) + table.log_z + table.ref_log_mass
+    assert np.max(np.abs(log_weights - (log_ref + action))) < 1e-12
     assert abs(table.ref_log_mass - logsumexp(log_ref)) < 1e-12
+
+
+def enumeration_case(case):
+    """Arguments of `enumerated_log_weights` for one caller's layout."""
+    w = nelson_pair(0.5)
+    if case == "shuffled-asymmetric":
+        # the doubled moments' two legs, sites listed out of column order, so
+        # several steps run from a later axis to an earlier one
+        gs, kernel = small_model()
+        with np.errstate(divide="ignore"):
+            log_p = np.log(transfer_matrix(gs, kernel))
+        mask, lags = doubled_layout(2, 0.5)
+        ends = (np.log(stationary_weights(gs)), np.log(gs.psi))
+        steps = [(0, 1), (1, 2), (3, 4), (4, 5)]
+        return (np.zeros(6, dtype=int), [4, 1, 5, 0, 3, 2], log_p, steps, ends,
+                w, gs.grid.x, mask, lags)
+    spec = spec_small(w, T=1.5)
+    if case == "pinned":
+        # brute_force_measure with Pinned ends: both end columns fixed
+        base = np.zeros(7, dtype=int)
+        base[[0, -1]] = 1, 3
+        sites, steps, region = range(1, 6), [(k, k + 1) for k in range(6)], SquareRegion(1.5)
+    else:
+        # window_conditional_exact at s_half 1.0: fixed exterior, free interior
+        base, sites = outside_config(spec), [2, 3, 4]
+        steps, region = [(k, k + 1) for k in range(1, 5)], FrameRegion(1.0, 1.5)
+    tg = spec.timegrid
+    return (base, sites, np.log(spec.kernel.matrix), steps, None, w, spec.grid.x,
+            region.weights(tg), tg.lags())
+
+
+@pytest.mark.parametrize("case", ["shuffled-asymmetric", "pinned", "window"])
+def test_broadcast_build_matches_rows_built_one_at_a_time(case):
+    base, sites, log_step, steps, ends, w, x, mask, lags = enumeration_case(case)
+    log_ref, log_weights = enumerated_log_weights(base, sites, log_step, steps, ends,
+                                                  w, x, mask, lags)
+    rows = enumerate_configs(x.size, base, sites).astype(np.int64)
+    assert log_ref.shape == log_weights.shape == (x.size,) * len(sites)
+    expected = np.zeros(rows.shape[0])
+    for a, b in steps:
+        expected += log_step[rows[:, a], rows[:, b]]
+    if ends is not None:
+        expected += ends[0][rows[:, 0]] + ends[1][rows[:, -1]]
+    assert np.max(np.abs(log_ref.reshape(-1) - expected)) < 1e-12
+    expected += pair_action(w, x[rows], mask, lags)
+    assert np.max(np.abs(log_weights.reshape(-1) - expected)) < 1e-12
+
+
+def test_log_sum_exp_matches_scipy():
+    rng = make_rng(5)
+    a = rng.normal(40.0, 30.0, size=(6, 50))
+    a[1, ::3] = -np.inf
+    a[2, 1:] = -np.inf
+    for axis in (None, 1):
+        want = logsumexp(a, axis=axis)
+        assert np.all(np.abs(log_sum_exp(a, axis=axis) - want) <= 1e-14 * np.abs(want))
+    a[4] = -np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = log_sum_exp(a, axis=1)
+        whole = log_sum_exp(a[4])
+    assert rows[4] == whole == -np.inf
+    assert np.all(np.isfinite(np.delete(rows, 4)))
+
+
+def test_size_cap_enumeration_holds_three_table_sized_arrays():
+    # 9 nodes and 7 slices: 9^7 configurations, the size cap.  Besides the
+    # int8 configurations, at most three float arrays of 9^7 entries live at
+    # once: the reference log-mass, the log-weight and one log-sum-exp
+    # temporary.
+    spec = spec_small(nelson_pair(0.5), T=1.5, points=9)
+    tracemalloc.start()
+    try:
+        table = brute_force_measure(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.configs.shape == (9 ** 7, 7)
+    assert peak <= table.configs.nbytes + 3 * 8 * 9 ** 7 + 2 ** 20
 
 
 def test_spec_rejects_kernel_on_another_box():
