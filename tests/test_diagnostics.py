@@ -2,6 +2,7 @@
 
 import functools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from pathgibbs.spectral import (ground_state, ground_state_radial, heat_kernel,
                                 default_grid)
 from pathgibbs.reference import sample_paths, transfer_matrix
 from pathgibbs.sampler import GibbsSpec, ChainConfig, Smeared, Pinned, brute_force_measure
-from pathgibbs.stats import total_variation, wilson_interval
+from pathgibbs.stats import total_variation, wilson_interval, log_log_slope
 from pathgibbs.diagnostics import (psi_tail, psi_decay_fit, tail_summability,
                                    path_growth_check, hitting_radius,
                                    hitting_time_moment, doubled_moment_exact,
@@ -27,6 +28,11 @@ def wide_model(dt=0.5):
     grid = default_grid()
     gs = ground_state(harmonic(), grid)
     return gs, heat_kernel(gs, dt)
+
+
+@functools.lru_cache(maxsize=None)
+def hydrogen():
+    return ground_state_radial(coulomb_3d(), radial_grid(40.0, 4000))
 
 
 @functools.lru_cache(maxsize=None)
@@ -59,10 +65,90 @@ def test_psi_tail_outside_box_is_zero_and_monotone():
 
 
 def test_psi_tail_radial_hydrogen():
-    gs = ground_state_radial(coulomb_3d(), radial_grid(40.0, 4000))
+    gs = hydrogen()
     # int_{R^3} e^{-r}/sqrt(pi) = 8 sqrt(pi)
     assert abs(psi_tail(gs, 0.0) - 8.0 * math.sqrt(math.pi)) < 5e-2
     assert psi_tail(gs, 3.0) < psi_tail(gs, 1.0)
+
+
+def _tail_one_radius(gs, radius):
+    """The per-radius trapezoid: an independent reference for psi_tail."""
+    def beyond(x, vals, a):
+        if a >= x[-1]:
+            return 0.0
+        if a <= x[0]:
+            return float(np.trapezoid(vals, x))
+        va = float(np.interp(a, x, vals))
+        keep = x > a
+        xs = np.concatenate([[a], x[keep]])
+        vs = np.concatenate([[va], vals[keep]])
+        return float(np.trapezoid(vs, xs))
+
+    radius = max(float(radius), 0.0)
+    if gs.radial:
+        r = np.concatenate([[0.0], gs.grid.x])
+        vals = np.concatenate([[0.0], gs.psi * gs.grid.x])
+        return float(np.sqrt(4.0 * np.pi) * beyond(r, vals, radius))
+    x, psi = gs.grid.x, gs.psi
+    return beyond(x, psi, radius) + beyond(-x[::-1], psi[::-1], radius)
+
+
+def _test_radii(x):
+    """Nodes, mid-cells, negatives, both ends, points past the box, random radii."""
+    mids = 0.5 * (x[:-1] + x[1:])
+    beyond = x[-1] + np.array([1e-12, 0.5, 5.0])
+    spread = np.random.default_rng(3).uniform(-1.0, x[-1] + 1.0, 200)
+    return np.concatenate([x[::4], mids[::4], [-3.0, -1e-9, 0.0, x[0], x[-1]], beyond,
+                           spread])
+
+
+@pytest.mark.parametrize("model", ["default-box", "radial-hydrogen"])
+def test_psi_tail_array_matches_per_radius_reference(model):
+    gs = wide_model()[0] if model == "default-box" else hydrogen()
+    x = gs.grid.x
+    radii = _test_radii(x)
+    assert radii.size >= 500
+    tails = psi_tail(gs, radii)
+    ref = np.array([_tail_one_radius(gs, a) for a in radii])
+    assert np.all(np.abs(tails - ref) <= 1e-13 * ref)
+    assert np.all(tails[radii >= x[-1]] == 0.0)
+    assert np.all(tails[radii <= 0.0] == psi_tail(gs, 0.0))
+    order = np.argsort(radii, kind="stable")
+    assert np.all(np.diff(tails[order]) <= 0.0)
+    # the smallest tails inside the box are far below the full integral
+    assert 0.0 < tails[radii < x[-1]].min() < 1e-15 * tails.max()
+
+
+def test_psi_tail_types_and_one_code_path():
+    gs, _ = wide_model()
+    scalar = psi_tail(gs, 1.5)
+    assert type(scalar) is float
+    assert type(psi_tail(hydrogen(), 1.5)) is float
+    radii = np.linspace(-1.0, 9.0, 12).reshape(3, 4)
+    tails = psi_tail(gs, radii)
+    assert isinstance(tails, np.ndarray) and tails.shape == radii.shape
+    for i in np.ndindex(radii.shape):
+        assert tails[i] == psi_tail(gs, radii[i])
+        assert tails[i] == psi_tail(gs, float(radii[i]))
+
+
+def test_tail_summability_matches_per_radius_loop():
+    gs, _ = wide_model()
+    report = tail_summability(gs, gamma=3.0)
+    ns = np.arange(2, 10_001)
+    terms = np.array([_tail_one_radius(gs, t) for t in np.sqrt(3.0 * np.log(ns))])
+    keep = (ns >= 100) & (terms > 1e-290)
+    slope = log_log_slope(ns[keep], terms[keep])
+    assert abs(report.slope - slope) <= 1e-12 * abs(slope)
+    assert abs(report.partial_sum - terms.sum()) <= 1e-12 * terms.sum()
+
+
+def test_tail_summability_at_a_million_radii_is_fast():
+    gs, _ = wide_model()
+    t0 = time.perf_counter()
+    report = tail_summability(gs, gamma=3.0, n_max=1_000_000)
+    assert time.perf_counter() - t0 < 2.0
+    assert report.summable
 
 
 def test_decay_fit_recovers_gaussian_exponent():
