@@ -32,7 +32,7 @@ from .sampler import (GibbsSpec, ChainConfig, Smeared, Pinned, run_ensemble,
                       check_enumerable)
 from .diagnostics import (tightness_profile, window_convergence_exact,
                           window_convergence_mc, hitting_time_moment,
-                          ratio_bound_check, path_growth_check, psi_tail)
+                          ratio_bound_check, path_growth_check, psi_tail, TightnessCell)
 
 COMMANDS = ("solve-ground-state", "sample", "oracle-compare", "dlr-test",
             "energy-check", "diagnose", "conditions")
@@ -96,23 +96,10 @@ class ConfigError(ValueError):
 # config loading and validation
 
 
-def _merge(defaults: dict, user: dict, path: str = "") -> dict:
-    out = {}
-    for key, default in defaults.items():
-        here = f"{path}.{key}" if path else key
-        if key not in user:
-            out[key] = default
-        elif isinstance(default, dict):
-            if not isinstance(user[key], dict):
-                raise ConfigError(f"{here}: expected an object")
-            out[key] = _merge(default, user[key], here)
-        else:
-            out[key] = user[key]
-    for key in user:
-        if key not in defaults:
-            here = f"{path}.{key}" if path else key
-            raise ConfigError(f"{here}: unknown config field")
-    return out
+# smallest accepted value of each count field
+MINIMUMS = {"grid.points": 3, "grid.radial_points": 3, "run.sweeps": 1, "run.burnin": 0,
+            "run.block_len": 1, "run.chains": 1, "run.record_every": 1,
+            "diagnostics.growth_paths": 1, "diagnostics.hit_paths": 1}
 
 
 def _require(cond: bool, message: str) -> None:
@@ -126,19 +113,40 @@ def _is_number(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
-def _check_number(cfg: dict, section: str, key: str, kind=float) -> None:
-    value = cfg[section][key]
-    _require(_is_number(value), f"{section}.{key}: expected a finite number")
-    _require(kind is not int or isinstance(value, int) or value.is_integer(),
-             f"{section}.{key}: expected an integer")
-    cfg[section][key] = kind(value)
+def _typed(default, value, here: str):
+    """The user's value checked against the type of its default: an int
+    default takes an integer (an integral float becomes it), a float default
+    a finite number, a list of floats a non-empty list of finite numbers."""
+    if isinstance(default, (int, float)):
+        _require(_is_number(value), f"{here}: expected a finite number")
+        if isinstance(default, int):
+            _require(isinstance(value, int) or value.is_integer(),
+                     f"{here}: expected an integer")
+            if here in MINIMUMS:
+                _require(value >= MINIMUMS[here], f"{here}: expected at least {MINIMUMS[here]}")
+        return type(default)(value)
+    if isinstance(default, list) and isinstance(default[0], float):
+        _require(isinstance(value, list) and len(value) > 0 and all(map(_is_number, value)),
+                 f"{here}: expected a non-empty list of finite numbers")
+        return [float(v) for v in value]
+    return value
 
 
-def _check_number_list(cfg: dict, section: str, key: str) -> None:
-    value = cfg[section][key]
-    _require(isinstance(value, list) and len(value) > 0 and all(map(_is_number, value)),
-             f"{section}.{key}: expected a non-empty list of finite numbers")
-    cfg[section][key] = [float(v) for v in value]
+def _merge(defaults: dict, user: dict, path: str = "") -> dict:
+    prefix = f"{path}." if path else ""
+    for key in user:
+        _require(key in defaults, f"{prefix}{key}: unknown config field")
+    out = {}
+    for key, default in defaults.items():
+        here = prefix + key
+        if key not in user:
+            out[key] = default
+        elif isinstance(default, dict):
+            _require(isinstance(user[key], dict), f"{here}: expected an object")
+            out[key] = _merge(default, user[key], here)
+        else:
+            out[key] = _typed(default, user[key], here)
+    return out
 
 
 def validate_config(user: dict) -> dict:
@@ -153,28 +161,19 @@ def validate_config(user: dict) -> dict:
              f"model.w: unknown pair potential {cfg['model']['w']!r}; "
              f"choose one of {', '.join(PAIR_CATALOG)}")
     _require(cfg["model"]["dim"] in (1, 3), "model.dim: expected 1 or 3")
-    for key in ("coupling", "constant"):
-        _check_number(cfg, "model", key)
     pin = cfg["model"]["pin"]
     if pin is not None:
         _require(isinstance(pin, list) and len(pin) == 2 and all(map(_is_number, pin)),
                  "model.pin: expected null or a [left, right] pair of finite numbers")
         cfg["model"]["pin"] = [float(v) for v in pin]
 
-    for key in ("lower", "upper", "dt", "t_half", "s_half", "radial_rmax"):
-        _check_number(cfg, "grid", key)
-    for key in ("points", "radial_points"):
-        _check_number(cfg, "grid", key, kind=int)
     _require(cfg["grid"]["lower"] < cfg["grid"]["upper"],
              "grid.lower: must be below grid.upper")
-    _require(cfg["grid"]["points"] >= 3, "grid.points: expected at least 3")
     _require(cfg["grid"]["dt"] > 0, "grid.dt: expected a positive step")
 
     _require(isinstance(cfg["run"]["seed"], int)
              and not isinstance(cfg["run"]["seed"], bool),
              "run.seed: an integer seed is required")
-    for key in ("sweeps", "burnin", "block_len", "chains", "record_every"):
-        _check_number(cfg, "run", key, kind=int)
     _require(cfg["run"]["record_every"] <= cfg["run"]["sweeps"],
              "run.record_every: must not exceed run.sweeps, or nothing is recorded")
     _require(cfg["run"]["mode"] in ("grid", "interp"),
@@ -184,12 +183,6 @@ def validate_config(user: dict) -> dict:
     known = ("tightness", "window", "hitting", "ratio", "growth")
     _require(isinstance(reports, list) and all(r in known for r in reports),
              f"diagnostics.reports: expected a list drawn from {', '.join(known)}")
-    for key in ("t_ladder", "r_list", "hit_start"):
-        _check_number_list(cfg, "diagnostics", key)
-    for key in ("growth_gamma", "growth_t", "hit_rate", "hit_horizon", "ratio_radius"):
-        _check_number(cfg, "diagnostics", key)
-    for key in ("growth_paths", "hit_paths"):
-        _check_number(cfg, "diagnostics", key, kind=int)
     _require(len(cfg["diagnostics"]["hit_start"]) == 2,
              "diagnostics.hit_start: expected a pair of coordinates")
 
@@ -467,23 +460,15 @@ def _cmd_diagnose(cfg, out_dir):
     if "tightness" in diag["reports"]:
         report = tightness_profile(gs, kernel, w, diag["t_ladder"],
                                    diag["r_list"], _chain_config(cfg))
-        summary["tightness"] = {
-            "k_hat": report.k_hat,
-            "trend_pvalue": report.trend_pvalue,
-            "domination_holds": report.domination_holds,
-            "cells": [{"T": c.T, "R": c.R, "p_hat": c.p_hat,
-                       "half_width": c.half_width, "tail": c.tail,
-                       "flagged": c.flagged} for c in report.cells],
-        }
+        summary["tightness"] = report
         checks.append(_check("tightness-domination", report.domination_holds))
         checks.append(_check("tightness-no-upward-trend",
                              report.trend_pvalue >= 0.05,
                              f"p={report.trend_pvalue:.3f}"))
         if "csv" in cfg["output"]["formats"]:
             _write_csv(out_dir, "tightness_cells",
-                       ["T", "R", "p_hat", "half_width", "tail", "flagged"],
-                       [(c.T, c.R, c.p_hat, c.half_width, c.tail, c.flagged)
-                        for c in report.cells], cfg)
+                       [f.name for f in dataclasses.fields(TightnessCell)],
+                       map(dataclasses.astuple, report.cells), cfg)
     if "window" in diag["reports"]:
         ladder = diag["t_ladder"]
         s_half = cfg["grid"]["s_half"]
@@ -501,12 +486,7 @@ def _cmd_diagnose(cfg, out_dir):
             report = window_convergence_exact(gs, kernel, w, ladder, s_half)
             checks.append(_check("window-decreasing", report.strictly_decreasing))
             route = "exact"
-        summary["window"] = {
-            "route": route,
-            "distances": [{"t_small": d.t_small, "t_large": d.t_large,
-                           "tv": d.tv, "stderr": d.stderr}
-                          for d in report.distances],
-        }
+        summary["window"] = {"route": route, "distances": report.distances}
     if "hitting" in diag["reports"]:
         v = _site_potential(cfg)
         report = hitting_time_moment(gs, kernel, diag["hit_start"],
@@ -514,23 +494,13 @@ def _cmd_diagnose(cfg, out_dir):
                                      diag["hit_paths"],
                                      seed=(cfg["run"]["seed"], 61),
                                      alpha=v.effective_alpha)
-        summary["hitting"] = {
-            "radius": report.radius, "gamma": report.gamma,
-            "estimate": report.estimate, "stderr": report.stderr,
-            "tail_bound": report.tail_bound, "rhs_bound": report.rhs_bound,
-            "hit_fraction": report.hit_fraction, "certified": report.certified,
-        }
+        summary["hitting"] = {**dataclasses.asdict(report), "certified": report.certified}
         checks.append(_check("hitting-certified", report.certified,
                              f"estimate={report.estimate:.4f} rhs={report.rhs_bound:.4f}"))
     if "ratio" in diag["reports"]:
         report = ratio_bound_check(gs, kernel, w, diag["t_ladder"],
                                    diag["ratio_radius"])
-        summary["ratio"] = {
-            "t_values": list(report.t_values),
-            "m_hats": list(report.m_hats),
-            "k_hat": report.k_hat,
-            "bounded": report.bounded,
-        }
+        summary["ratio"] = {**dataclasses.asdict(report), "bounded": report.bounded}
         checks.append(_check("ratio-bounded", report.bounded,
                              f"m_hats={[round(v, 6) for v in report.m_hats]}"))
     if "growth" in diag["reports"]:
@@ -545,9 +515,7 @@ def _cmd_diagnose(cfg, out_dir):
             "limsup_proxy": report.limsup_proxy,
             "summable": report.summability.summable,
             "tail_slope": report.summability.slope,
-            "rows": [{"n": r.n, "threshold": r.threshold, "p_hat": r.p_hat,
-                      "ci_low": r.ci_low, "ci_high": r.ci_high, "exact": r.exact}
-                     for r in report.rows],
+            "rows": report.rows,
         }
         if report.fit_ok:
             checks.append(_check("growth-exceedance-consistent",

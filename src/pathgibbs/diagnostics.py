@@ -114,12 +114,6 @@ class TightnessReport:
     trend_pvalue: float
     domination_holds: bool
 
-    def cell(self, T: float, R: float) -> TightnessCell:
-        for c in self.cells:
-            if c.T == T and c.R == R:
-                return c
-        raise KeyError((T, R))
-
 
 def tightness_profile(gs: GroundState, kernel: HeatKernel, w: PairPotential,
                       t_values, r_values, config: ChainConfig) -> TightnessReport:
@@ -320,11 +314,8 @@ def hitting_time_moment(gs: GroundState, kernel: HeatKernel, start,
 @dataclass
 class RatioBoundReport:
     t_values: tuple
-    radius: float
     m_hats: tuple          # sup/inf over starts in the ball, per T
     k_hat: float           # max of E / (1/psi(y1) + 1/psi(y2)) over all starts
-    start_values: np.ndarray
-    moments: np.ndarray    # (len(t_values), n_starts) conditional expectations
 
     @property
     def bounded(self) -> bool:
@@ -371,17 +362,13 @@ def ratio_bound_check(gs: GroundState, kernel: HeatKernel, w: PairPotential,
         raise ValueError(f"no grid start pairs inside radius {radius}")
     inv_weight = 1.0 / gs.psi[:, None] + 1.0 / gs.psi[None, :]
     m_hats = []
-    moments = []
     k_hat = 0.0
     for T in t_values:
         table = doubled_moment_exact(gs, kernel, w, T)
         vals = table[in_ball]
         m_hats.append(float(vals.max() / vals.min()))
         k_hat = max(k_hat, float((table / inv_weight).max()))
-        moments.append(table[in_ball])
-    return RatioBoundReport(tuple(t_values), radius, tuple(m_hats), k_hat,
-                            np.stack([y1[in_ball], y2[in_ball]], axis=1),
-                            np.asarray(moments))
+    return RatioBoundReport(tuple(t_values), tuple(m_hats), k_hat)
 
 
 # ---------------------------------------------------------------------------

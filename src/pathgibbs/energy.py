@@ -61,9 +61,6 @@ class Region:
         return interaction_budget(w) * sum(min(t[1] - t[0], s[1] - s[0])
                                            for sign, t, s in self.rects if sign > 0)
 
-    def label(self) -> str:
-        return self.name
-
 
 def SquareRegion(T: float) -> Region:
     """[-T, T] x [-T, T]."""
@@ -95,7 +92,7 @@ def region_action(w: PairPotential, positions: np.ndarray, tg: TimeGrid,
                   region: Region) -> np.ndarray:
     """`pair_action` over the region for paths on `tg`, one per row."""
     if region.span() > tg.T + 1e-12:
-        raise ValueError(f"path covers [-{tg.T}, {tg.T}] but region {region.label()} "
+        raise ValueError(f"path covers [-{tg.T}, {tg.T}] but region {region.name} "
                          f"extends to {region.span()}")
     return pair_action(w, positions, region.weights(tg), tg.lags())
 

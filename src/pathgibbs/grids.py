@@ -94,12 +94,6 @@ class TimeGrid:
             raise ValueError(f"window half-width {s_half} does not fit the time grid")
         return np.arange(self.n - k, self.n + k + 1)
 
-    def weights(self) -> np.ndarray:
-        """Trapezoidal quadrature weights over the full window [-T, T]."""
-        w = np.full(self.n_times, self.dt)
-        w[0] = w[-1] = 0.5 * self.dt
-        return w
-
     def interval_weights(self, a: float, b: float) -> np.ndarray:
         """Trapezoidal weights for the subinterval [a, b]; zero outside.
 

@@ -80,11 +80,10 @@ def sample_rows(cdf_rows: np.ndarray, current: np.ndarray, u: np.ndarray) -> np.
 
 @dataclass
 class PathEnsemble:
-    """Positions (and grid indices in grid mode) for a batch of paths."""
+    """Positions for a batch of paths."""
 
     timegrid: TimeGrid
     positions: np.ndarray
-    indices: np.ndarray | None = None
 
     def path(self, i: int) -> Path:
         return Path(self.timegrid, self.positions[i])
@@ -119,8 +118,7 @@ def sample_paths(gs: GroundState, kernel: HeatKernel, timegrid: TimeGrid,
     if mode == "interp":
         jitter = (rng.random(idx.shape) - 0.5) * gs.grid.h
         positions = np.clip(positions + jitter, gs.grid.lower, gs.grid.upper)
-        return PathEnsemble(timegrid, positions, None)
-    return PathEnsemble(timegrid, positions, idx)
+    return PathEnsemble(timegrid, positions)
 
 
 def _bridge_law(row: np.ndarray, col: np.ndarray) -> np.ndarray:

@@ -503,7 +503,6 @@ def brute_force_measure(spec: GibbsSpec) -> BruteForceTable:
         base[[0, -1]] = grid.index_of(spec.boundary.left), grid.index_of(spec.boundary.right)
         free, ends = range(1, n_t - 1), None
     check_enumerable(m, len(free), n_t)
-    configs = enumerate_configs(m, base, free)
     log_ref, log_weights = enumerated_log_weights(
         base, free, log_k, [(k, k + 1) for k in range(n_t - 1)], ends,
         spec.w, grid.x, SquareRegion(tg.T).weights(tg), tg.lags())
@@ -511,7 +510,7 @@ def brute_force_measure(spec: GibbsSpec) -> BruteForceTable:
     del log_ref   # free it before the next log-sum-exp takes its temporary
     norm = float(log_sum_exp(log_weights))
     probs = np.exp(np.subtract(log_weights, norm, out=log_weights), out=log_weights)
-    table = BruteForceTable(spec, configs, probs.reshape(-1),
+    table = BruteForceTable(spec, enumerate_configs(m, base, free), probs.reshape(-1),
                             log_z=norm - ref_log_mass, ref_log_mass=ref_log_mass)
     if not np.isfinite(table.log_z):
         raise ValueError("degenerate instance: zero total weight")

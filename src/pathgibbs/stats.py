@@ -37,7 +37,7 @@ def ks_statistic_atomic(samples, support, probs) -> float:
     return float(max(gap_right.max(), gap_left.max()))
 
 
-def integrated_autocorr_time(series, max_lag: int | None = None) -> float:
+def integrated_autocorr_time(series) -> float:
     """IAT by the initial positive sequence estimator (sum of positive
     autocorrelation pairs); 1.0 for white noise."""
     x = np.asarray(series, dtype=float)
@@ -48,8 +48,7 @@ def integrated_autocorr_time(series, max_lag: int | None = None) -> float:
     var = float(np.dot(x, x)) / n
     if var == 0.0:
         return 1.0
-    if max_lag is None:
-        max_lag = n // 2
+    max_lag = n // 2
     # FFT autocovariance; cheaper than the direct sum for long chains
     m = 1 << (2 * n - 1).bit_length()
     f = np.fft.rfft(x, m)

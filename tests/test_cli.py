@@ -116,6 +116,26 @@ def test_sample_rejects_unusable_run_fields_with_exit_2(tmp_path, capsys, run):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("grid.points", 2, "expected at least 3"),
+    ("grid.radial_points", 2, "expected at least 3"),
+    ("run.sweeps", 0, "expected at least 1"),
+    ("run.burnin", -1, "expected at least 0"),
+    ("run.block_len", 0, "expected at least 1"),
+    ("run.chains", 0, "expected at least 1"),
+    ("run.record_every", 0, "expected at least 1"),
+    ("diagnostics.growth_paths", 0, "expected at least 1"),
+    ("diagnostics.hit_paths", 0, "expected at least 1"),
+    ("model.dim", True, "expected a finite number"),
+])
+def test_fields_outside_their_type_or_minimum_exit_2(tmp_path, capsys, field, value, message):
+    config = write_config(tmp_path / "cfg.json", **{field: value})
+    code, out = run_cli(tmp_path, "conditions", config)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {field}: {message}\n"
+    assert not out.exists()
+
+
 def test_bad_config_file_exits_2(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["conditions", "--config", str(missing)]) == 2
@@ -228,6 +248,47 @@ def test_diagnose_ratio_and_window(tmp_path):
     assert tvs[0] > tvs[1]
     assert summary["ratio"]["bounded"]
     assert len(summary["ratio"]["m_hats"]) == 3
+
+
+def test_diagnose_summary_schema(tmp_path):
+    # every section is its report's fields plus the named properties, so a
+    # new report field changes the summary; two configs keep this quick
+    wide = write_config(tmp_path / "wide.json",
+                        **{"model.w": "nelson", "model.coupling": 0.5,
+                           "grid.lower": -6.0, "grid.upper": 6.0, "grid.points": 25,
+                           "run.sweeps": 50, "run.burnin": 10, "run.chains": 4,
+                           "diagnostics.reports": ["tightness", "hitting", "growth"],
+                           "diagnostics.t_ladder": [1.0, 2.0], "diagnostics.r_list": [1.0],
+                           "diagnostics.growth_t": 4.0, "diagnostics.growth_paths": 100,
+                           "diagnostics.hit_paths": 100, "output.formats": ["json", "csv"]})
+    code, out = run_cli(tmp_path, "diagnose", wide)
+    assert code == 0
+    summary = load_summary(out, "diagnose")
+    assert set(summary) == {"tightness", "hitting", "growth", "checks", "config"}
+    assert set(summary["tightness"]) == {"cells", "k_hat", "trend_pvalue", "domination_holds"}
+    cell_keys = {"T", "R", "p_hat", "half_width", "tail", "flagged"}
+    assert [set(c) for c in summary["tightness"]["cells"]] == [cell_keys, cell_keys]
+    assert set(summary["hitting"]) == {"radius", "gamma", "estimate", "stderr", "tail_bound",
+                                       "rhs_bound", "hit_fraction", "certified"}
+    assert set(summary["growth"]) == {"gamma", "beta", "fit_ok", "limsup_proxy", "summable",
+                                      "tail_slope", "rows"}
+    row_keys = {"n", "threshold", "p_hat", "ci_low", "ci_high", "exact"}
+    assert [set(r) for r in summary["growth"]["rows"]] == [row_keys] * 3
+    table = (out / "tightness_cells.csv").read_text().splitlines()
+    assert table[1] == "T,R,p_hat,half_width,tail,flagged"
+    assert len(table) == 4
+
+    small = write_config(tmp_path / "small.json",
+                         **small_instance({"diagnostics.reports": ["window", "ratio"],
+                                           "diagnostics.t_ladder": [0.5, 1.0]}))
+    code, out = run_cli(tmp_path, "diagnose", small)
+    assert code == 0
+    summary = load_summary(out, "diagnose")
+    assert set(summary) == {"window", "ratio", "checks", "config"}
+    assert set(summary["window"]) == {"route", "distances"}
+    assert [set(d) for d in summary["window"]["distances"]] == [
+        {"t_small", "t_large", "tv", "stderr"}]
+    assert set(summary["ratio"]) == {"t_values", "m_hats", "k_hat", "bounded"}
 
 
 @pytest.mark.parametrize("extra", [

@@ -58,7 +58,7 @@ def test_time_grid_layout():
 @given(st.integers(min_value=1, max_value=40), st.sampled_from([0.1, 0.25, 0.5, 1.0]))
 def test_time_grid_weights_integrate_constants(n, dt):
     tg = TimeGrid(n * dt, dt)
-    assert np.sum(tg.weights()) == pytest.approx(2 * n * dt)
+    assert np.sum(tg.interval_weights(-tg.T, tg.T)) == pytest.approx(2 * n * dt)
 
 
 def test_interval_weights_cover_subwindow():

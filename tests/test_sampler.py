@@ -190,10 +190,10 @@ def test_log_sum_exp_matches_scipy():
 
 
 def test_size_cap_enumeration_holds_three_table_sized_arrays():
-    # 9 nodes and 7 slices: 9^7 configurations, the size cap.  Besides the
-    # int8 configurations, at most three float arrays of 9^7 entries live at
-    # once: the reference log-mass, the log-weight and one log-sum-exp
-    # temporary.
+    # 9 nodes and 7 slices: 9^7 configurations, the size cap.  At most three
+    # float arrays of 9^7 entries live at once: the reference log-mass, the
+    # log-weight and one log-sum-exp temporary.  The int8 configurations are
+    # built after normalising, beside the probabilities alone.
     spec = spec_small(nelson_pair(0.5), T=1.5, points=9)
     tracemalloc.start()
     try:
@@ -202,7 +202,7 @@ def test_size_cap_enumeration_holds_three_table_sized_arrays():
     finally:
         tracemalloc.stop()
     assert table.configs.shape == (9 ** 7, 7)
-    assert peak <= table.configs.nbytes + 3 * 8 * 9 ** 7 + 2 ** 20
+    assert peak <= 3 * 8 * 9 ** 7 + 2 ** 20
 
 
 def test_spec_rejects_kernel_on_another_box():
