@@ -99,7 +99,7 @@ class ConfigError(ValueError):
 # smallest accepted value of each count field
 MINIMUMS = {"grid.points": 3, "grid.radial_points": 3, "run.sweeps": 1, "run.burnin": 0,
             "run.block_len": 1, "run.chains": 1, "run.record_every": 1,
-            "diagnostics.growth_paths": 1, "diagnostics.hit_paths": 1}
+            "diagnostics.growth_paths": 1, "diagnostics.hit_paths": 2}
 
 
 def _require(cond: bool, message: str) -> None:

@@ -75,14 +75,14 @@ class DecayFit:
     residual: float
 
 
-def psi_decay_fit(gs: GroundState, s: int = 1, window=(2.0, 5.0)) -> DecayFit:
-    """Log-linear tail fit psi ~ A exp(-beta |y|^(s+1))."""
+def psi_decay_fit(gs: GroundState) -> DecayFit:
+    """Log-linear tail fit psi ~ A exp(-beta |y|^(s+1)) on DECAY_FIT_WINDOW, s = GROWTH_S."""
     x = gs.grid.x
     prof = gs.psi / x if gs.radial else gs.psi
-    keep = (x >= window[0]) & (x <= window[1]) & (prof > 1e-290)
+    keep = (x >= DECAY_FIT_WINDOW[0]) & (x <= DECAY_FIT_WINDOW[1]) & (prof > 1e-290)
     if keep.sum() < 3:
         raise ValueError("decay fit window contains fewer than 3 usable nodes")
-    u = x[keep] ** (s + 1)
+    u = x[keep] ** (GROWTH_S + 1)
     logs = np.log(prof[keep])
     slope, intercept = np.polyfit(u, logs, 1)
     resid = float(np.max(np.abs(slope * u + intercept - logs)))
@@ -245,25 +245,24 @@ def hitting_radius(gs: GroundState, threshold: float) -> float:
 
 def hitting_time_moment(gs: GroundState, kernel: HeatKernel, start,
                         growth_rate: float, horizon: float, n_paths: int,
-                        seed=0, alpha: float = float("inf"),
-                        gamma: float | None = None) -> HittingReport:
+                        seed=0, alpha: float = float("inf")) -> HittingReport:
     """MC estimate of E[exp(C tau)] for the doubled chain entering a ball.
 
     tau is the first time the pair of independent stationary chains, started
     at the two given points, enters {|x| <= r} in R^2.  The ball radius and
-    the decay rate gamma follow the coercivity construction: gamma below
-    alpha - C, and V > C + gamma outside r/sqrt(2).  The truncated horizon
-    is certified by the analytic tail bound at rate gamma.
+    the decay rate gamma follow the coercivity construction: gamma is half
+    of alpha - C (1 when alpha is infinite), and V > C + gamma outside
+    r/sqrt(2).  The truncated horizon is certified by the analytic tail bound
+    at rate gamma; the standard error needs at least two paths.
     """
     c = growth_rate
     if c < 0:
         raise ValueError("exponential moment rate must be nonnegative")
     if c >= alpha:
         raise ValueError(f"rate {c} must stay below the coercivity level {alpha}")
-    if gamma is None:
-        gamma = (alpha - c) / 2.0 if np.isfinite(alpha) else 1.0
-    if gamma <= 0 or (np.isfinite(alpha) and gamma >= alpha - c):
-        raise ValueError("gamma must lie strictly between 0 and alpha - C")
+    if n_paths < 2:
+        raise ValueError(f"hitting moment needs at least 2 paths, got {n_paths}")
+    gamma = (alpha - c) / 2.0 if np.isfinite(alpha) else 1.0
     radius = hitting_radius(gs, c + gamma)
     grid = gs.grid
     nodes = grid.nearest_index(np.asarray(start, dtype=float))
@@ -377,6 +376,14 @@ def ratio_bound_check(gs: GroundState, kernel: HeatKernel, w: PairPotential,
 
 # family-wise error rate of the growth rows' simultaneous intervals
 GROWTH_FAMILY_ERROR = 0.05
+# the envelope f(n) = (gamma ln n)^(1/(s+1)) takes s from the growth of V,
+# |x|^(s+1); the harmonic well of every command has s = 1
+GROWTH_S = 1
+# tail window of the decay fit of psi, and the largest residual it may leave
+DECAY_FIT_WINDOW = (2.0, 5.0)
+DECAY_FIT_MAX_RESIDUAL = 0.1
+# terms n = 2..SUMMABILITY_TERMS of the psi-tail series at the envelope
+SUMMABILITY_TERMS = 10_000
 
 
 @dataclass
@@ -415,25 +422,22 @@ class GrowthReport:
         return all(r.consistent for r in self.rows)
 
 
-def tail_summability(gs: GroundState, gamma: float, s: int = 1,
-                     n_max: int = 10_000) -> SummabilityReport:
+def tail_summability(gs: GroundState, gamma: float) -> SummabilityReport:
     """Partial sums and decay slope of psi-tails at the growth envelope.
 
     The n-th term integrates the ground state beyond (gamma ln n)^(1/(s+1)), all terms
     in one psi_tail call; a fitted log-log slope below -1 indicates a summable series.
     """
-    ns = np.arange(2, n_max + 1)
-    thresholds = (gamma * np.log(ns)) ** (1.0 / (s + 1))
+    ns = np.arange(2, SUMMABILITY_TERMS + 1)
+    thresholds = (gamma * np.log(ns)) ** (1.0 / (GROWTH_S + 1))
     terms = psi_tail(gs, thresholds)
     partial = float(terms.sum())
-    keep = (ns >= max(10, n_max // 100)) & (terms > 1e-290)
+    keep = (ns >= SUMMABILITY_TERMS // 100) & (terms > 1e-290)
     slope = log_log_slope(ns[keep], terms[keep])
     return SummabilityReport(gamma, slope, partial, slope < -1.05)
 
 
-def path_growth_check(ensemble: PathEnsemble, gs: GroundState, gamma: float,
-                      s: int = 1, fit_window=(2.0, 5.0),
-                      max_fit_residual: float = 0.1) -> GrowthReport:
+def path_growth_check(ensemble: PathEnsemble, gs: GroundState, gamma: float) -> GrowthReport:
     """Exceedance of the logarithmic growth envelope at integer times.
 
     Compares the per-time exceedance fraction of |x_n| over
@@ -444,8 +448,8 @@ def path_growth_check(ensemble: PathEnsemble, gs: GroundState, gamma: float,
     at least 1 - GROWTH_FAMILY_ERROR.  The envelope is meaningful when gamma
     exceeds the inverse of the fitted decay exponent.
     """
-    fit = psi_decay_fit(gs, s, fit_window)
-    fit_ok = fit.residual <= max_fit_residual
+    fit = psi_decay_fit(gs)
+    fit_ok = fit.residual <= DECAY_FIT_MAX_RESIDUAL
     tg = ensemble.timegrid
     pi = stationary_weights(gs)
     n_paths = ensemble.positions.shape[0]
@@ -455,7 +459,7 @@ def path_growth_check(ensemble: PathEnsemble, gs: GroundState, gamma: float,
         n = int(round(t))
         if n < 2 or abs(t - n) > 1e-9:
             continue
-        threshold = (gamma * np.log(n)) ** (1.0 / (s + 1))
+        threshold = (gamma * np.log(n)) ** (1.0 / (GROWTH_S + 1))
         samples = np.abs(ensemble.positions[:, k])
         exceed = samples > threshold
         below &= ~exceed
@@ -466,5 +470,5 @@ def path_growth_check(ensemble: PathEnsemble, gs: GroundState, gamma: float,
     z = float(ndtri(1.0 - GROWTH_FAMILY_ERROR / (2 * len(found))))
     rows = [GrowthRow(n, threshold, p_hat, *wilson_interval(p_hat, n_paths, z), exact)
             for n, threshold, p_hat, exact in found]
-    summ = tail_summability(gs, gamma, s)
+    summ = tail_summability(gs, gamma)
     return GrowthReport(fit, gamma, rows, float(below.mean()), summ, fit_ok)

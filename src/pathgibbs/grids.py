@@ -29,10 +29,10 @@ class SpaceGrid:
     def h(self) -> float:
         return (self.upper - self.lower) / (self.points - 1)
 
-    def index_of(self, value: float, tol: float = 1e-9) -> int:
-        """Index of the node equal to `value` (within `tol` of a node)."""
+    def index_of(self, value: float) -> int:
+        """Index of the node equal to `value` (within 1e-9 of a node)."""
         idx = int(np.clip(round((value - self.lower) / self.h), 0, self.points - 1))
-        if abs(self.x[idx] - value) > tol * max(1.0, self.h):
+        if abs(self.x[idx] - value) > 1e-9 * max(1.0, self.h):
             raise ValueError(f"value {value} is not on the space grid (nearest node {self.x[idx]})")
         return idx
 

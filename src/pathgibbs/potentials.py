@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SINGULARITY_CLAMP_DEFAULT = -1.0e6
+# V at the singular origin of the Coulomb well, so quadrature stays finite
+COULOMB_ORIGIN_CLAMP = -1.0e6
 
 
 @dataclass
@@ -28,28 +29,21 @@ class SitePotential:
     dim: int = 1
     shift: float = 0.0
     alpha: float = math.inf
-    clamp: float | None = None
 
     @property
     def effective_alpha(self) -> float:
         return self.alpha + self.shift
 
     def evaluate(self, x):
-        """V(x) + shift, elementwise.
-
-        For dim == 1, `x` is a scalar or array of positions. For dim == 3,
-        `x` is a length-3 vector or an (..., 3) array; evaluation is radial.
-        """
+        """V(x) + shift, elementwise over a scalar or array of positions on the
+        line; a potential in R^3 is evaluated through `evaluate_radial`."""
+        if self.dim != 1:
+            raise ValueError(f"evaluate takes points on the line; a dim-{self.dim} "
+                             "potential is evaluated through evaluate_radial")
         x = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(x)):
             raise ValueError("potential evaluated at non-finite point")
-        if self.dim == 1:
-            r = np.abs(x)
-        else:
-            if x.shape[-1] != self.dim:
-                raise ValueError(f"expected points in R^{self.dim}, got shape {x.shape}")
-            r = np.sqrt(np.sum(x * x, axis=-1))
-        return self.evaluate_radial(r)
+        return self.evaluate_radial(np.abs(x))
 
     def evaluate_radial(self, r):
         """V as a function of |x|, plus shift (all catalog kinds are radial)."""
@@ -59,12 +53,7 @@ class SitePotential:
         elif self.kind == "box_zero":
             v = np.zeros_like(r)
         elif self.kind == "coulomb3d":
-            if np.any(r == 0.0):
-                if self.clamp is None:
-                    raise ValueError("coulomb potential at the origin without a clamp value")
-                v = np.where(r == 0.0, self.clamp, -1.0 / np.where(r == 0.0, 1.0, r))
-            else:
-                v = -1.0 / r
+            v = np.where(r == 0.0, COULOMB_ORIGIN_CLAMP, -1.0 / np.where(r == 0.0, 1.0, r))
         else:
             raise ValueError(f"unknown site potential kind {self.kind!r}")
         out = v + self.shift
@@ -81,13 +70,12 @@ def box_zero() -> SitePotential:
     return SitePotential("box_zero", dim=1, alpha=0.0)
 
 
-def coulomb_3d(clamp: float | None = SINGULARITY_CLAMP_DEFAULT, shift: float = 0.0) -> SitePotential:
+def coulomb_3d() -> SitePotential:
     """Attractive Coulomb well V(x) = -1/|x| in three dimensions.
 
-    The origin is singular; grid evaluation replaces it by the configured
-    clamp value (a large negative constant) so quadrature stays finite.
+    The origin is singular; evaluation there gives COULOMB_ORIGIN_CLAMP.
     """
-    return SitePotential("coulomb3d", dim=3, shift=shift, alpha=0.0, clamp=clamp)
+    return SitePotential("coulomb3d", dim=3, alpha=0.0)
 
 
 @dataclass
@@ -197,8 +185,8 @@ class MonotoneReport:
     witness: tuple | None
 
 
-def check_time_monotone(w: PairPotential, pairs, ts, tol: float = 1e-12) -> MonotoneReport:
-    """Check that t -> W(x, y, t) is nondecreasing along every grid line.
+def check_time_monotone(w: PairPotential, pairs, ts) -> MonotoneReport:
+    """Check that t -> W(x, y, t) is nondecreasing, to 1e-12, along every grid line.
 
     `pairs` is a sequence of (x, y); `ts` the increasing time samples. The
     witness, when present, is (x, y, t_k, t_{k+1}, W_k, W_{k+1}).
@@ -210,7 +198,7 @@ def check_time_monotone(w: PairPotential, pairs, ts, tol: float = 1e-12) -> Mono
         raise ValueError("time samples must be strictly increasing")
     for x, y in pairs:
         line = np.asarray(w.evaluate(x, y, ts))
-        drops = np.nonzero(np.diff(line) < -tol)[0]
+        drops = np.nonzero(np.diff(line) < -1e-12)[0]
         if drops.size:
             k = int(drops[0])
             return MonotoneReport(False, (float(x), float(y), float(ts[k]),

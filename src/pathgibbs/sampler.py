@@ -96,7 +96,6 @@ class ChainConfig:
 class EnsembleResult:
     """Recorded positions of a batch of chains, one row per recorded sweep."""
 
-    timegrid: TimeGrid
     record_indices: np.ndarray
     positions: np.ndarray  # (records, chains, len(record_indices))
     accept_single: float
@@ -346,7 +345,7 @@ def run_ensemble(spec: GibbsSpec, config: ChainConfig,
             out[row] = engine.pos[:, record_indices]
             row += 1
     single, block = engine.acceptance_rates()
-    return EnsembleResult(spec.timegrid, record_indices, out[:row], single, block, config)
+    return EnsembleResult(record_indices, out[:row], single, block, config)
 
 
 def empirical_node_marginals(result: EnsembleResult, grid: SpaceGrid) -> np.ndarray:

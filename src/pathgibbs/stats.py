@@ -23,16 +23,16 @@ def ks_statistic_atomic(samples, support, probs) -> float:
     """
     support = np.asarray(support, dtype=float)
     probs = np.asarray(probs, dtype=float)
-    samples = np.asarray(samples, dtype=float)
+    samples = np.sort(np.asarray(samples, dtype=float))
     order = np.argsort(support)
     support = support[order]
     cdf = np.cumsum(probs[order])
     cdf = cdf / cdf[-1]
     n = samples.size
-    emp_right = np.searchsorted(np.sort(samples), support, side="right") / n
+    emp_right = np.searchsorted(samples, support, side="right") / n
     gap_right = np.abs(emp_right - cdf)
     cdf_left = np.concatenate([[0.0], cdf[:-1]])
-    emp_left = np.searchsorted(np.sort(samples), support, side="left") / n
+    emp_left = np.searchsorted(samples, support, side="left") / n
     gap_left = np.abs(emp_left - cdf_left)
     return float(max(gap_right.max(), gap_left.max()))
 

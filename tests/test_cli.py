@@ -125,7 +125,8 @@ def test_sample_rejects_unusable_run_fields_with_exit_2(tmp_path, capsys, run):
     ("run.chains", 0, "expected at least 1"),
     ("run.record_every", 0, "expected at least 1"),
     ("diagnostics.growth_paths", 0, "expected at least 1"),
-    ("diagnostics.hit_paths", 0, "expected at least 1"),
+    ("diagnostics.hit_paths", 0, "expected at least 2"),
+    ("diagnostics.hit_paths", 1, "expected at least 2"),
     ("model.dim", True, "expected a finite number"),
 ])
 def test_fields_outside_their_type_or_minimum_exit_2(tmp_path, capsys, field, value, message):

@@ -145,30 +145,32 @@ def test_tail_summability_matches_per_radius_loop():
 
 def test_tail_summability_at_a_million_radii_is_fast():
     gs, _ = wide_model()
+    radii = np.sqrt(3.0 * np.log(np.arange(2, 1_000_001)))
     t0 = time.perf_counter()
-    report = tail_summability(gs, gamma=3.0, n_max=1_000_000)
+    terms = psi_tail(gs, radii)
     assert time.perf_counter() - t0 < 2.0
-    assert report.summable
+    assert terms.shape == radii.shape
 
 
 def test_decay_fit_recovers_gaussian_exponent():
     gs, _ = wide_model()
-    fit = psi_decay_fit(gs, s=1)
+    fit = psi_decay_fit(gs)
     assert abs(fit.beta - 0.5) < 0.05
     assert fit.residual < 0.05
     assert abs(fit.amplitude - math.pi ** -0.25) < 0.05
 
 
 def test_decay_fit_rejects_empty_window():
-    gs, _ = wide_model()
+    # of the nodes -8, -6, ..., 8 only x = 2 and x = 4 lie in the fit window
+    gs = ground_state(harmonic(), SpaceGrid(-8.0, 8.0, 9))
     with pytest.raises(ValueError, match="window"):
-        psi_decay_fit(gs, s=1, window=(20.0, 30.0))
+        psi_decay_fit(gs)
 
 
 def test_tail_summability_threshold():
     gs, _ = wide_model()
-    fast = tail_summability(gs, gamma=3.0, n_max=3000)
-    slow = tail_summability(gs, gamma=1.0, n_max=3000)
+    fast = tail_summability(gs, gamma=3.0)
+    slow = tail_summability(gs, gamma=1.0)
     assert fast.summable and fast.slope < -1.05
     assert not slow.summable and slow.slope > -1.05
     assert fast.partial_sum < slow.partial_sum
@@ -276,9 +278,17 @@ def test_hitting_moment_parameter_validation():
     with pytest.raises(ValueError, match="coercivity"):
         hitting_time_moment(gs, kernel, (2.0, 2.0), growth_rate=1.0,
                             horizon=10.0, n_paths=10, seed=0, alpha=0.5)
-    with pytest.raises(ValueError, match="gamma"):
-        hitting_time_moment(gs, kernel, (2.0, 2.0), growth_rate=0.2,
-                            horizon=10.0, n_paths=10, seed=0, gamma=-1.0)
+
+
+def test_hitting_moment_needs_two_paths_for_its_stderr():
+    gs, kernel = wide_model()
+    for n_paths in (0, 1):
+        with pytest.raises(ValueError, match="at least 2 paths"):
+            hitting_time_moment(gs, kernel, (2.0, 2.0), growth_rate=0.2,
+                                horizon=10.0, n_paths=n_paths, seed=0)
+    rep = hitting_time_moment(gs, kernel, (2.0, 2.0), growth_rate=0.2,
+                              horizon=30.0, n_paths=2, seed=0)
+    assert np.isfinite(rep.stderr)
 
 
 # ---------------------------------------------------------------------------

@@ -97,3 +97,65 @@ def test_every_definition_is_reached_from_a_command_or_the_benchmark():
         used |= _names_in(part for key in reached for part in _own_parts(definitions[key]))
     assert sorted(definitions.keys() - live) == []
     assert sorted(set(TEST_REFERENCES) - set(definitions)) == []
+
+
+# Parameters with defaults that no command, perfbench workload or other
+# module passes: tests set them to read or build what no live caller needs.
+# An entry is "function.parameter", a method's without its class.
+TEST_INPUTS = {
+    "check_shift_inequality.C": "tests read every per-path gap through `violations`",
+    "check_shift_inequality.D": "tests read every per-path gap through `violations`",
+    "check_shift_inequality.tol": "tests read every per-path gap through `violations`",
+    "harmonic.shift": "the spectral shift tests build their inputs with it",
+    "main.argv": "tests drive the entry point through it",
+}
+
+
+def _defaulted_parameters(node):
+    """(name, position) of each parameter of a def that has a default; the
+    position counts the call's positional arguments, so a method's skips self,
+    and is None for keyword-only parameters."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    offset = 1 if positional and positional[0].arg in ("self", "cls") else 0
+    first = len(positional) - len(args.defaults)
+    return ([(a.arg, i - offset) for i, a in enumerate(positional) if i >= first]
+            + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None])
+
+
+def _calls(trees):
+    """Callee name -> list of (positional count, keyword names) over every call;
+    a function handed to a wrapper counts as called with the arguments after it."""
+    found = {}
+    for tree in trees:
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            keywords = {k.arg for k in call.keywords}
+            targets = [(call.func, call.args)] + [(a, call.args[j + 1:])
+                                                   for j, a in enumerate(call.args)]
+            for func, args in targets:
+                if isinstance(func, (ast.Name, ast.Attribute)):
+                    name = func.id if isinstance(func, ast.Name) else func.attr
+                    found.setdefault(name, []).append((len(args), keywords))
+    return found
+
+
+def test_every_optional_parameter_is_passed_by_live_code():
+    # a parameter with a default is live once some call in the package or in
+    # perfbench/ passes it, by keyword or by position; calls are matched by
+    # the callee's name, as the orphan scan matches definitions
+    package = Path(pathgibbs.__file__).parent
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    trees = [ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))]
+    calls = _calls(trees + [ast.parse(p.read_text()) for p in sorted(bench.glob("*.py"))])
+    unpassed = []
+    for tree in trees:
+        for key, node in _definitions(tree).items():
+            if isinstance(node, ast.ClassDef):
+                continue
+            name = key.rpartition(".")[2]
+            for param, position in _defaulted_parameters(node):
+                if not any(param in keywords or (position is not None and position < count)
+                           for count, keywords in calls.get(name, [])):
+                    unpassed.append(f"{name}.{param}")
+    assert sorted(set(unpassed) - set(TEST_INPUTS)) == []
+    assert sorted(set(TEST_INPUTS) - set(unpassed)) == []

@@ -29,10 +29,12 @@ def test_site_potential_values():
     assert harmonic(shift=-0.5).evaluate(0.0) == pytest.approx(-0.5)
     assert box_zero().evaluate(0.7) == 0.0
     v = coulomb_3d()
-    assert v.evaluate([1.0, 0.0, 0.0]) == pytest.approx(-1.0)
+    assert v.evaluate_radial(1.0) == pytest.approx(-1.0)
     assert v.evaluate_radial(2.0) == pytest.approx(-0.5)
     # the singular origin maps to the clamp value
-    assert v.evaluate([0.0, 0.0, 0.0]) == pytest.approx(-1.0e6)
+    assert v.evaluate_radial(0.0) == pytest.approx(-1.0e6)
+    with pytest.raises(ValueError, match="evaluate_radial"):
+        v.evaluate([1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         harmonic().evaluate(np.nan)
 
