@@ -34,11 +34,14 @@ from .diagnostics import (tightness_profile, window_convergence_exact,
                           window_convergence_mc, hitting_time_moment,
                           ratio_bound_check, path_growth_check, psi_tail, TightnessCell)
 
-COMMANDS = ("solve-ground-state", "sample", "oracle-compare", "dlr-test",
-            "energy-check", "diagnose", "conditions")
-
-SITE_CATALOG = ("harmonic", "box_zero", "coulomb3d")
-PAIR_CATALOG = ("zero", "constant", "nelson", "step")
+SITES = {"harmonic": harmonic, "box_zero": box_zero, "coulomb3d": coulomb_3d}
+# each pair constructor reads the config's model section
+PAIRS = {
+    "zero": lambda model: zero_pair(),
+    "constant": lambda model: constant_pair(model["constant"]),
+    "nelson": lambda model: nelson_pair(model["coupling"]),
+    "step": lambda model: step_pair(model["coupling"]),
+}
 
 DEFAULTS = {
     "model": {
@@ -154,12 +157,12 @@ def validate_config(user: dict) -> dict:
     _require(isinstance(user, dict), "config root: expected an object")
     cfg = _merge(DEFAULTS, user)
 
-    _require(cfg["model"]["v"] in SITE_CATALOG,
+    _require(cfg["model"]["v"] in SITES,
              f"model.v: unknown potential {cfg['model']['v']!r}; "
-             f"choose one of {', '.join(SITE_CATALOG)}")
-    _require(cfg["model"]["w"] in PAIR_CATALOG,
+             f"choose one of {', '.join(SITES)}")
+    _require(cfg["model"]["w"] in PAIRS,
              f"model.w: unknown pair potential {cfg['model']['w']!r}; "
-             f"choose one of {', '.join(PAIR_CATALOG)}")
+             f"choose one of {', '.join(PAIRS)}")
     _require(cfg["model"]["dim"] in (1, 3), "model.dim: expected 1 or 3")
     pin = cfg["model"]["pin"]
     if pin is not None:
@@ -200,19 +203,11 @@ def validate_config(user: dict) -> dict:
 
 
 def _site_potential(cfg: dict):
-    return {"harmonic": harmonic, "box_zero": box_zero, "coulomb3d": coulomb_3d}[
-        cfg["model"]["v"]]()
+    return SITES[cfg["model"]["v"]]()
 
 
 def _pair_potential(cfg: dict):
-    name = cfg["model"]["w"]
-    if name == "zero":
-        return zero_pair()
-    if name == "constant":
-        return constant_pair(cfg["model"]["constant"])
-    if name == "nelson":
-        return nelson_pair(cfg["model"]["coupling"])
-    return step_pair(cfg["model"]["coupling"])
+    return PAIRS[cfg["model"]["w"]](cfg["model"])
 
 
 def _solve(cfg: dict):
@@ -567,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathgibbs",
         description="Finite-volume path measure experiments from a JSON config.")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_HANDLERS)
     parser.add_argument("--config", required=True,
                         help="path to the JSON experiment config")
     parser.add_argument("--out", default=None,

@@ -235,7 +235,6 @@ def sufficient_condition_report(v: SitePotential, w: PairPotential,
         factor = 12.0
     else:
         raise ValueError(f"unknown sufficiency mode {mode!r}")
-    note = ""
     if mode == "monotone" and not w.monotone_in_t:
         return SufficientConditionReport(False, -math.inf, math.nan, alpha, mode,
                                          "pair potential is not monotone in t")
@@ -246,4 +245,4 @@ def sufficient_condition_report(v: SitePotential, w: PairPotential,
     margin = alpha - threshold
     # a vanishing interaction never constrains the growth budget
     holds = threshold < alpha or (budget == 0.0 and alpha >= 0.0)
-    return SufficientConditionReport(holds, margin, threshold, alpha, mode, note)
+    return SufficientConditionReport(holds, margin, threshold, alpha, mode, "")

@@ -102,19 +102,20 @@ class EnsembleResult:
     accept_block: float
     config: ChainConfig
 
-    def pooled(self, time_index: int) -> np.ndarray:
-        """All recorded samples of the coordinate at one time index."""
+    def _column(self, time_index: int) -> np.ndarray:
+        """(records, chains) view of the coordinate at one time index."""
         where = np.flatnonzero(self.record_indices == time_index)
         if where.size != 1:
             raise ValueError(f"time index {time_index} was not recorded")
-        return self.positions[:, :, where[0]].reshape(-1)
+        return self.positions[:, :, where[0]]
+
+    def pooled(self, time_index: int) -> np.ndarray:
+        """All recorded samples of the coordinate at one time index."""
+        return self._column(time_index).reshape(-1)
 
     def chain_series(self, time_index: int) -> np.ndarray:
         """(chains, records) series of one coordinate, for autocorrelation."""
-        where = np.flatnonzero(self.record_indices == time_index)
-        if where.size != 1:
-            raise ValueError(f"time index {time_index} was not recorded")
-        return self.positions[:, :, where[0]].T.copy()
+        return self._column(time_index).T.copy()
 
 
 DRAW_BLOCK = 32   # columns per block of the two-level proposal draw
@@ -301,10 +302,10 @@ class _Engine:
         proposed = self.proposed_single + self.proposed_block
         accepted = self.accepted_single + self.accepted_block
         if proposed > 0 and accepted / proposed < 0.01:
-            warnings.warn(
-                f"acceptance rate {accepted / proposed:.2%} over burn-in is below 1%; "
-                f"consider reducing block_len from {self.block_len} to "
-                f"{max(1, self.block_len // 2)}", RuntimeWarning)
+            advice = (f"; consider reducing block_len from {self.block_len} to "
+                      f"{self.block_len // 2}" if self.block_len > 1 else "")
+            warnings.warn(f"acceptance rate {accepted / proposed:.2%} over burn-in "
+                          f"is below 1%{advice}", RuntimeWarning)
 
     def reset_counters(self):
         self.accepted_single = self.proposed_single = 0
@@ -336,16 +337,15 @@ def run_ensemble(spec: GibbsSpec, config: ChainConfig,
         engine.sweep()
     engine.warn_if_stuck()
     engine.reset_counters()
-    n_records = config.sweeps // config.record_every
-    out = np.empty((n_records, config.n_chains, record_indices.size))
+    out = np.empty((config.sweeps // config.record_every, config.n_chains, record_indices.size))
     row = 0
     for sweep in range(config.sweeps):
         engine.sweep()
-        if (sweep + 1) % config.record_every == 0 and row < n_records:
+        if (sweep + 1) % config.record_every == 0:
             out[row] = engine.pos[:, record_indices]
             row += 1
     single, block = engine.acceptance_rates()
-    return EnsembleResult(record_indices, out[:row], single, block, config)
+    return EnsembleResult(record_indices, out, single, block, config)
 
 
 def empirical_node_marginals(result: EnsembleResult, grid: SpaceGrid) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -173,6 +174,16 @@ def test_solve_ground_state_radial(tmp_path):
     summary = load_summary(out, "solve-ground-state")
     assert abs(summary["energy"] + 0.5) < 1e-3
     assert summary["radial"] is True
+
+
+def test_solve_ground_state_radial_harmonic(tmp_path):
+    # dim 3 solves any catalog V radially; the harmonic well needs a box its
+    # profile does not underflow in, and gives the 3-d oscillator's 3/2
+    config = write_config(tmp_path / "cfg.json",
+                          **{"model.dim": 3, "grid.radial_rmax": 7, "grid.radial_points": 1400})
+    code, out = run_cli(tmp_path, "solve-ground-state", config, "--strict")
+    assert code == 0
+    assert abs(load_summary(out, "solve-ground-state")["energy"] - 1.5) < 1e-3
 
 
 def test_sample_zero_interaction_strict_passes(tmp_path):
@@ -392,3 +403,34 @@ def test_module_entry_point_imports_without_runtime_warning():
                            "--help"], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "usage" in proc.stdout
+
+
+def readme_examples():
+    """(command, config text) of each `pathgibbs <command> --config <file>
+    --strict` line in README.md, the config taken from the same block's
+    `echo '...' > file` or `cat > file <<'EOF'` heredoc."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        configs = {name: text for text, name in re.findall(r"^echo '(.*)' > (\S+)$", block, re.M)}
+        configs.update(re.findall(r"^cat > (\S+) <<'EOF'\n(.*?)\nEOF$", block, re.M | re.S))
+        examples += [(command, configs[name]) for command, name in
+                     re.findall(r"^pathgibbs (\S+) --config (\S+) --strict$", block, re.M)]
+    return examples
+
+
+README_EXAMPLES = readme_examples()
+
+
+def test_readme_lists_three_examples():
+    # a README edit the parsing misses fails here, not by running nothing
+    assert [command for command, _ in README_EXAMPLES] == [
+        "solve-ground-state", "oracle-compare", "diagnose"]
+
+
+@pytest.mark.parametrize("command, text", README_EXAMPLES,
+                         ids=[command for command, _ in README_EXAMPLES])
+def test_readme_example_passes_its_own_strict(tmp_path, command, text):
+    config = tmp_path / "cfg.json"
+    config.write_text(text)
+    assert run_cli(tmp_path, command, config, "--strict")[0] == 0

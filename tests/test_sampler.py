@@ -531,6 +531,21 @@ def test_low_acceptance_emits_block_length_warning():
         run_ensemble(spec, cfg)
 
 
+@pytest.mark.parametrize("block_len, advice", [(4, "from 4 to 2"), (1, None)])
+def test_stuck_warning_advises_halving_only_a_longer_block(block_len, advice):
+    spec = spec_small(zero_pair())
+    cfg = ChainConfig(sweeps=1, burnin=0, block_len=block_len, seed=2, n_chains=2, mode="grid")
+    engine = _Engine(spec, cfg, _initial_positions(spec, cfg))
+    engine.proposed_single, engine.accepted_single = 1000, 9
+    with pytest.warns(RuntimeWarning, match="below 1%") as caught:
+        engine.warn_if_stuck()
+    message = str(caught[0].message)
+    if advice is None:
+        assert "block_len" not in message
+    else:
+        assert advice in message
+
+
 @pytest.mark.parametrize("mode", ["interp", "grid"])
 @pytest.mark.parametrize("case", ["smeared", "pinned"])
 def test_carried_nodes_match_positions(monkeypatch, mode, case):
