@@ -13,6 +13,9 @@ the configuration outside it.  These serve as oracles for the chain.  Every
 enumeration in the package, the doubled moments of the diagnostics
 included, asks one size rule (`check_enumerable`) and gets its reference
 log-mass and pair action from one broadcast build (`enumerated_log_weights`).
+Each term is an array only on the enumerated axes it spans, and the (m,)^k
+sum takes 1 + k // 2 full-size passes.  `brute_force_measure` reads its reference
+mass from a kernel power, so at 9^7 its peak is the table beside its int8 rows.
 """
 
 from dataclasses import dataclass, field
@@ -464,6 +467,42 @@ def enumerate_configs(m: int, base, sites) -> np.ndarray:
     return configs.reshape(-1, len(nodes))
 
 
+def _enumerated_terms(base, sites, log_step: np.ndarray, steps, ends, w: PairPotential,
+                      x: np.ndarray, mask: np.ndarray, lags: np.ndarray) -> tuple[list, list]:
+    """The reference and pair terms of `enumerated_log_weights` as (axes, term)
+    pairs: each term is taken at the column nodes, so it is an array only on
+    the set `axes` of enumerated axes it spans (a scalar, one axis or m x m)."""
+    nodes = _column_nodes(x.size, base, sites)
+    axis_of = {site: axis for axis, site in enumerate(sites)}
+
+    def axes(*columns):
+        return {axis_of[c] for c in columns if c in axis_of}
+
+    ref = [(axes(a, b), log_step[nodes[a], nodes[b]]) for a, b in steps]
+    if ends is not None:
+        ref += [(axes(0), ends[0][nodes[0]]), (axes(len(nodes) - 1), ends[1][nodes[-1]])]
+    i, j, weight, lag, diagonal = pair_terms(w, mask, lags)
+    pairs = [(axes(a, b), -wt * w.radial(np.abs(x[nodes[a]] - x[nodes[b]]), t))
+             for a, b, wt, t in zip(i, j, weight, lag)]
+    return ref, pairs + [(set(), -diagonal)]
+
+
+def _summed(terms: list, m: int, k: int) -> np.ndarray:
+    """The (m,) * k sum of (axes, term) pairs in 1 + k // 2 full-size passes:
+    terms inside the first ceil(k / 2) axes (the head, scalars too), inside
+    the rest (the tail) and, per tail axis, crossing to it from the head go
+    into small partial sums first; the full array is head + tail + crossings."""
+    half, parts = -(-k // 2), {}
+    for spanned, term in terms:
+        sides = {a < half for a in spanned}
+        key = max(spanned) if len(sides) == 2 else "tail" if sides == {False} else "head"
+        parts[key] = parts.get(key, 0.0) + term
+    out = np.add(parts.pop("head", 0.0), parts.pop("tail", 0.0), out=np.empty((m,) * k))
+    for crossing in parts.values():
+        out += crossing
+    return out
+
+
 def enumerated_log_weights(base, sites, log_step: np.ndarray, steps, ends,
                            w: PairPotential, x: np.ndarray, mask: np.ndarray,
                            lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -471,49 +510,39 @@ def enumerated_log_weights(base, sites, log_step: np.ndarray, steps, ends,
     `sites` of `base`: (m,) * len(sites) arrays, m = x.size, whose flat order
     is that of `enumerate_configs`.  The log-mass sums log_step[a, b] over
     `steps`, plus ends[0] and ends[1] at the first and last column unless
-    `ends` is None; the log-weight adds the `energy.pair_terms`, diagonal
-    first.  Each table is gathered at the column nodes, which puts its first
-    index on a's axis and its second on b's, and added in place.
-    """
-    nodes = _column_nodes(x.size, base, sites)
-    log_ref = np.zeros((x.size,) * len(sites))
-    for a, b in steps:
-        log_ref += log_step[nodes[a], nodes[b]]
-    if ends is not None:
-        log_ref += ends[0][nodes[0]] + ends[1][nodes[-1]]
-    i, j, weight, lag, diagonal = pair_terms(w, mask, lags)
-    tables = weight[:, None, None] * w.radial(np.abs(x[:, None] - x), lag[:, None, None])
-    log_weights = log_ref - diagonal
-    for table, a, b in zip(tables, i, j):
-        log_weights -= table[nodes[a], nodes[b]]
-    return log_ref, log_weights
+    `ends` is None; the log-weight adds the `energy.pair_terms`, each
+    -weight * W(|x_a - x_b|, lag) at the column nodes, and the diagonal."""
+    ref, pairs = _enumerated_terms(base, sites, log_step, steps, ends, w, x, mask, lags)
+    return _summed(ref, x.size, len(sites)), _summed(ref + pairs, x.size, len(sites))
 
 
 def brute_force_measure(spec: GibbsSpec) -> BruteForceTable:
-    """Enumerate every configuration of a small instance exactly."""
-    grid, tg = spec.grid, spec.timegrid
+    """Enumerate every configuration of a small instance exactly.  The reference
+    mass is h psi.K^(n_t - 1) psi, or the K^(n_t - 1) entry between the pins."""
+    grid, tg, psi = spec.grid, spec.timegrid, spec.gs.psi
     m, n_t = grid.points, tg.n_times
-    with np.errstate(divide="ignore"):
-        log_k = np.log(spec.kernel.matrix)
-        log_psi = np.log(spec.gs.psi)
-    base, free = np.zeros(n_t, dtype=int), range(n_t)
-    ends = (np.log(grid.h) + log_psi, log_psi)
-    if isinstance(spec.boundary, Pinned):
+    edge = int(isinstance(spec.boundary, Pinned))   # pinned end columns are fixed
+    base, free = np.zeros(n_t, dtype=int), range(edge, n_t - edge)
+    if edge:
         base[[0, -1]] = grid.index_of(spec.boundary.left), grid.index_of(spec.boundary.right)
-        free, ends = range(1, n_t - 1), None
     check_enumerable(m, len(free), n_t)
-    log_ref, log_weights = enumerated_log_weights(
-        base, free, log_k, [(k, k + 1) for k in range(n_t - 1)], ends,
-        spec.w, grid.x, SquareRegion(tg.T).weights(tg), tg.lags())
-    ref_log_mass = float(log_sum_exp(log_ref))
-    del log_ref   # free it before the next log-sum-exp takes its temporary
-    norm = float(log_sum_exp(log_weights))
-    probs = np.exp(np.subtract(log_weights, norm, out=log_weights), out=log_weights)
-    table = BruteForceTable(spec, enumerate_configs(m, base, free), probs.reshape(-1),
-                            log_z=norm - ref_log_mass, ref_log_mass=ref_log_mass)
-    if not np.isfinite(table.log_z):
+    power = spec.kernel.power(n_t - 1)
+    with np.errstate(divide="ignore"):
+        log_k, log_psi = np.log(spec.kernel.matrix), np.log(psi)
+        ref_log_mass = float(np.log(power[base[0], base[-1]] if edge
+                                    else grid.h * psi @ power @ psi))
+    if not np.isfinite(ref_log_mass):   # else some configuration has a finite log-weight
         raise ValueError("degenerate instance: zero total weight")
-    return table
+    ends = None if edge else (np.log(grid.h) + log_psi, log_psi)
+    ref, pairs = _enumerated_terms(base, free, log_k, [(k, k + 1) for k in range(n_t - 1)],
+                                   ends, spec.w, grid.x, SquareRegion(tg.T).weights(tg), tg.lags())
+    probs = _summed(ref + pairs, m, len(free))   # the log-weights, normalized in place
+    peak = probs.max()
+    total = np.exp(np.subtract(probs, peak, out=probs), out=probs).sum()
+    probs /= total
+    log_z = float(peak + np.log(total)) - ref_log_mass
+    return BruteForceTable(spec, enumerate_configs(m, base, free), probs.reshape(-1),
+                           log_z=log_z, ref_log_mass=ref_log_mass)
 
 
 # ---------------------------------------------------------------------------

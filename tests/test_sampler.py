@@ -1,6 +1,7 @@
 """Sampler tests: exact oracles, detailed balance, and chain correctness."""
 
 import functools
+import time
 import tracemalloc
 import warnings
 
@@ -140,6 +141,17 @@ def enumeration_case(case):
         steps = [(0, 1), (1, 2), (3, 4), (4, 5)]
         return (np.zeros(6, dtype=int), [4, 1, 5, 0, 3, 2], log_p, steps, ends,
                 w, gs.grid.x, mask, lags)
+    if case == "odd-interleaved":
+        # k = 5 sites out of column order with fixed columns between them:
+        # the head (sites 6, 1, 4), the tail (0, 3) and both crossing groups
+        # get terms, the head scalars, one-axis and two-axis ones
+        spec = spec_small(w, T=2.0)
+        tg = spec.timegrid
+        with np.errstate(divide="ignore"):
+            log_psi = np.log(spec.gs.psi)
+        return (outside_config(spec), [6, 1, 4, 0, 3], np.log(spec.kernel.matrix),
+                [(k, k + 1) for k in range(8)], (np.log(spec.grid.h) + log_psi, log_psi),
+                w, spec.grid.x, SquareRegion(2.0).weights(tg), tg.lags())
     spec = spec_small(w, T=1.5)
     if case == "pinned":
         # brute_force_measure with Pinned ends: both end columns fixed
@@ -155,7 +167,8 @@ def enumeration_case(case):
             region.weights(tg), tg.lags())
 
 
-@pytest.mark.parametrize("case", ["shuffled-asymmetric", "pinned", "window"])
+@pytest.mark.parametrize("case", ["shuffled-asymmetric", "pinned", "window",
+                                  "odd-interleaved"])
 def test_broadcast_build_matches_rows_built_one_at_a_time(case):
     base, sites, log_step, steps, ends, w, x, mask, lags = enumeration_case(case)
     log_ref, log_weights = enumerated_log_weights(base, sites, log_step, steps, ends,
@@ -189,11 +202,11 @@ def test_log_sum_exp_matches_scipy():
     assert np.all(np.isfinite(np.delete(rows, 4)))
 
 
-def test_size_cap_enumeration_holds_three_table_sized_arrays():
-    # 9 nodes and 7 slices: 9^7 configurations, the size cap.  At most three
-    # float arrays of 9^7 entries live at once: the reference log-mass, the
-    # log-weight and one log-sum-exp temporary.  The int8 configurations are
-    # built after normalising, beside the probabilities alone.
+def test_size_cap_enumeration_holds_the_table_and_its_rows():
+    # 9 nodes and 7 slices: 9^7 configurations, the size cap.  The log-weight
+    # is summed from small partial sums and normalized in place into the
+    # probabilities, and the reference mass comes from a kernel power, so
+    # the peak is those float64 probabilities beside the int8 rows.
     spec = spec_small(nelson_pair(0.5), T=1.5, points=9)
     tracemalloc.start()
     try:
@@ -202,7 +215,46 @@ def test_size_cap_enumeration_holds_three_table_sized_arrays():
     finally:
         tracemalloc.stop()
     assert table.configs.shape == (9 ** 7, 7)
-    assert peak <= 3 * 8 * 9 ** 7 + 2 ** 20
+    assert peak <= (8 + 7) * 9 ** 7 + 2 ** 20
+
+
+def test_enumerated_log_weights_rejects_fixed_nodes_off_the_grid():
+    base, sites, *rest = enumeration_case("window")
+    for node in (-1, 5):
+        bad = np.array(base)
+        bad[0] = node
+        with pytest.raises(ValueError, match=r"node indices must lie in \[0, 5\)"):
+            enumerated_log_weights(bad, sites, *rest)
+
+
+def test_one_site_window_at_paper_scale_is_small_fast_and_exact():
+    # M = 801 and T = 8: the pair terms of the one enumerated column are
+    # (801,) axes and the rest scalars, so no m x m table is built
+    spec = spec_wide(nelson_pair(1.0), T=8.0)
+    tg, grid = spec.timegrid, spec.grid
+    path = sample_paths(spec.gs, spec.kernel, tg, 1, seed=(3,), mode="grid").positions[0]
+    out = grid.nearest_index(path)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        wc = window_conditional_exact(spec, 0.5, out)
+        seconds = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert seconds < 1.0 and peak < 8 * 2 ** 20
+    (site,) = wc.window_indices
+    paths = np.tile(out, (grid.points, 1))
+    paths[:, site] = np.arange(grid.points)
+    with np.errstate(divide="ignore"):
+        log_k = np.log(spec.kernel.matrix)
+    log_bridge = log_k[out[site - 1]] + log_k[:, out[site + 1]]
+    log_weight = log_bridge + pair_action(spec.w, grid.x[paths],
+                                          FrameRegion(0.5, 8.0).weights(tg), tg.lags())
+    for got, logs in ((wc.probs, log_weight), (wc.bridge_probs, log_bridge)):
+        want = np.exp(logs - logsumexp(logs))
+        big = want > 1e-12 * want.max()
+        assert np.max(np.abs(got[big] / want[big] - 1.0)) < 1e-12
 
 
 def test_spec_rejects_kernel_on_another_box():
