@@ -17,6 +17,8 @@ from .stats import log_log_slope
 # (about 1e-13) plus dt times the relative residual |A psi| / psi of the
 # ground state (about 1e-12 on the default box), with ample headroom
 TRANSFER_ROW_SUM_TOLERANCE = 1e-9
+# least draw target, so that every draw lands on a column with mass
+SMALLEST = np.nextafter(0.0, 1.0)
 
 
 def make_rng(seed, *stream) -> np.random.Generator:
@@ -62,20 +64,22 @@ def transfer_matrix(gs: GroundState, kernel: HeatKernel) -> np.ndarray:
 
 
 def sample_rows(cdf_rows: np.ndarray, current: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vectorized inverse-CDF step: for each path, draw from its current row.
-
-    Groups paths by current node so each distinct row is searched once.
+    """The package's one draw rule, for each path from its current row of
+    cumulative masses: the first column reaching max(u * row total, SMALLEST),
+    so a column without mass is never drawn.  One bisection over all paths at
+    once on flat row indices, ceil(log2 M) vector passes for M columns.
     """
-    out = np.empty(current.size, dtype=np.int64)
-    order = np.argsort(current, kind="stable")
-    sorted_nodes = current[order]
-    starts = np.flatnonzero(np.concatenate([[True], sorted_nodes[1:] != sorted_nodes[:-1]]))
-    bounds = np.append(starts, current.size)
-    for k in range(starts.size):
-        sel = order[bounds[k]:bounds[k + 1]]
-        row = cdf_rows[sorted_nodes[starts[k]]]
-        out[sel] = np.searchsorted(row, u[sel], side="right")
-    return np.minimum(out, cdf_rows.shape[1] - 1)
+    m, flat = cdf_rows.shape[1], cdf_rows.reshape(-1)
+    first = current * m
+    target = np.maximum(u * flat[first + (m - 1)], SMALLEST)
+    base, probe, below = first.copy(), np.empty(first.size), np.empty(first.size, dtype=bool)
+    width = m   # the column drawn lies in [base, base + width)
+    while width > 1:
+        half = width // 2
+        flat.take(base + (half - 1), out=probe, mode="clip")
+        np.add(base, half, out=base, where=np.less(probe, target, out=below))
+        width -= half
+    return base - first
 
 
 @dataclass
@@ -110,8 +114,8 @@ def sample_paths(gs: GroundState, kernel: HeatKernel, timegrid: TimeGrid,
     cdf_rows = np.cumsum(p, axis=1)
     n_times = timegrid.n_times
     idx = np.empty((n_paths, n_times), dtype=np.int64)
-    idx[:, 0] = np.searchsorted(np.cumsum(pi), rng.random(n_paths), side="right")
-    idx[:, 0] = np.minimum(idx[:, 0], pi.size - 1)
+    idx[:, 0] = sample_rows(np.cumsum(pi)[None, :], np.zeros(n_paths, dtype=np.int64),
+                            rng.random(n_paths))
     for t in range(1, n_times):
         idx[:, t] = sample_rows(cdf_rows, idx[:, t - 1], rng.random(n_paths))
     positions = gs.grid.x[idx]
@@ -155,9 +159,8 @@ def sample_bridge(gs: GroundState, kernel: HeatKernel, timegrid: TimeGrid,
     idx[0] = ia
     idx[-1] = ib
     for k in range(1, m):
-        probs = _bridge_law(kernel.matrix[idx[k - 1]], cols[m - k])
-        idx[k] = min(np.searchsorted(np.cumsum(probs), rng.random(), side="right"),
-                     probs.size - 1)
+        cdf = np.cumsum(_bridge_law(kernel.matrix[idx[k - 1]], cols[m - k]))
+        idx[k] = sample_rows(cdf[None, :], np.zeros(1, dtype=np.int64), rng.random(1))[0]
     return Path(timegrid, gs.grid.x[idx])
 
 

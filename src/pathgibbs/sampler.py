@@ -27,7 +27,7 @@ import numpy as np
 from .grids import SpaceGrid, TimeGrid
 from .potentials import PairPotential
 from .spectral import GroundState, HeatKernel
-from .reference import make_rng, sample_paths, sample_bridge
+from .reference import SMALLEST, make_rng, sample_paths, sample_bridge
 from .energy import FrameRegion, SquareRegion, pair_terms
 
 
@@ -123,7 +123,6 @@ class EnsembleResult:
 
 DRAW_BLOCK = 32   # columns per block of the two-level proposal draw
 _BLOCK_ONES = np.ones(DRAW_BLOCK)
-_SMALLEST = np.nextafter(0.0, 1.0)
 
 
 def _pad_columns(a: np.ndarray) -> np.ndarray:
@@ -134,9 +133,10 @@ def _pad_columns(a: np.ndarray) -> np.ndarray:
 
 
 def _sample_categorical_rows(probs: np.ndarray, u: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """One draw per row of an unnormalized probability matrix: the first
-    column whose cumulative mass reaches u * total (u < 1, so the last
-    column with mass qualifies).  Rows wider than 2 * DRAW_BLOCK come
+    """One draw per row of an unnormalized probability matrix by the rule of
+    `reference.sample_rows`: the first column whose cumulative mass reaches
+    max(u * total, SMALLEST) (u < 1, so the last column with mass qualifies,
+    and a zero-mass column never does).  Rows wider than 2 * DRAW_BLOCK come
     padded by `_pad_columns` and draw that law in two levels: a block of
     DRAW_BLOCK columns from the block sums, written to `sums[:, 1:]` (a
     reused buffer whose column 0 is zero), then a column in it.  Where
@@ -152,9 +152,9 @@ def _sample_categorical_rows(probs: np.ndarray, u: np.ndarray, sums: np.ndarray)
     if not total.all():   # rows are non-negative, so this is a zero total
         raise ValueError("proposal distribution has zero mass; "
                          "anchors are too far apart for this time step")
+    target = np.maximum(u * total, SMALLEST)   # > 0, so the column or block drawn has mass
     if not wide:
-        return (cum >= (u * total)[:, None]).argmax(axis=1)
-    target = np.maximum(u * total, _SMALLEST)   # > 0, so the block drawn has mass
+        return (cum >= target[:, None]).argmax(axis=1)
     block = (cum >= target[:, None]).argmax(axis=1) - 1   # the mass before it is cum[:, block]
     rows = np.arange(n_rows)
     inner = blocks[rows, block].cumsum(axis=1)
@@ -317,16 +317,12 @@ class _Engine:
 
 def _initial_positions(spec: GibbsSpec, config: ChainConfig) -> np.ndarray:
     """Exact reference draw per chain (bridge draw when pinned)."""
-    ens = sample_paths(spec.gs, spec.kernel, spec.timegrid, config.n_chains,
-                       seed=(config.seed, 12), mode=config.mode)
-    pos = ens.positions.copy()
     if isinstance(spec.boundary, Pinned):
-        for c in range(config.n_chains):
-            br = sample_bridge(spec.gs, spec.kernel, spec.timegrid,
-                               spec.boundary.left, spec.boundary.right,
-                               seed=(config.seed, 13, c))
-            pos[c] = br.positions
-    return pos
+        return np.array([sample_bridge(spec.gs, spec.kernel, spec.timegrid, spec.boundary.left,
+                                       spec.boundary.right, seed=(config.seed, 13, c)).positions
+                         for c in range(config.n_chains)])
+    return sample_paths(spec.gs, spec.kernel, spec.timegrid, config.n_chains,
+                        seed=(config.seed, 12), mode=config.mode).positions
 
 
 def run_ensemble(spec: GibbsSpec, config: ChainConfig,

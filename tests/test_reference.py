@@ -8,11 +8,13 @@ from scipy.stats import kstest
 from pathgibbs.grids import TimeGrid
 from pathgibbs.potentials import harmonic
 from pathgibbs.reference import (
+    SMALLEST,
     bridge_conditional,
     bridge_marginal,
     fkf_convergence,
     sample_bridge,
     sample_paths,
+    sample_rows,
     stationary_weights,
     transfer_matrix,
     transition_density,
@@ -136,6 +138,38 @@ def test_sample_bridge_reproducible_and_pinned(gs, k05):
     b2 = sample_bridge(gs, k05, tg, -1.0, 2.0, seed=9)
     assert np.array_equal(b1.positions, b2.positions)
     assert b1.positions[0] == -1.0 and b1.positions[-1] == 2.0
+
+
+LAST_U = 1.0 - 2.0**-53   # the largest double below 1
+
+
+@pytest.mark.parametrize("m", [5, 64, 801])
+def test_sample_rows_is_the_first_column_reaching_the_floored_target(m):
+    rng = np.random.default_rng(m)
+    masses = rng.random((8, m))
+    masses[0, :m // 2] = 0.0             # leading zero-mass columns
+    masses[1, m // 2 + 1:] = 0.0         # trailing zero-mass columns
+    masses[2, :2] = masses[2, -2:] = 0.0  # both
+    for row, col in zip((3, 4, 5), (0, m // 2, m - 1)):
+        masses[row] = 0.0
+        masses[row, col] = rng.random() + 1e-300   # a single column of mass
+    masses[6] *= 1e-310                   # subnormal masses
+    cdf = np.cumsum(masses, axis=1)
+    current = np.repeat(np.arange(8), 64)
+    for u in (np.zeros(current.size), np.full(current.size, LAST_U), rng.random(current.size)):
+        got = sample_rows(cdf, current, u)
+        want = [np.searchsorted(cdf[c], max(v * cdf[c, -1], SMALLEST), side="left")
+                for c, v in zip(current, u)]
+        assert np.array_equal(got, want)
+        assert np.all(masses[current, got] > 0.0)
+
+
+def test_sample_rows_never_draws_the_massless_wall(gs):
+    # row 0 sums to about 1 - 1.3e-13 and its far wall has no mass, so u
+    # past the row total used to be clipped onto node M - 1
+    p = transfer_matrix(gs, heat_kernel(gs, 0.25))
+    got = sample_rows(np.cumsum(p, axis=1), np.zeros(1, dtype=np.int64), np.array([LAST_U]))
+    assert p[0, got[0]] > 0.0
 
 
 def test_fkf_normalization_and_residual(gs):

@@ -425,8 +425,9 @@ def awkward_rows(m, rng):
     tail = np.zeros((4, m))
     tail[:, m - (m % block or block):] = rng.random((4, m % block or block))
     gaps = rng.random((4, m))
-    for b in range(0, m, 2 * block):
-        gaps[:, b:b + block] = 0.0
+    gap = min(block, m // 2)   # narrow rows keep mass between their gaps
+    for b in range(0, m, 2 * gap):
+        gaps[:, b:b + gap] = 0.0
     single = np.zeros((4, m))
     single[np.arange(4), rng.integers(0, m, 4)] = rng.random(4) + 1e-300
     scattered = rng.random((4, m)) * (rng.random((4, m)) < 0.05)
@@ -448,13 +449,16 @@ def test_two_level_draw_matches_single_cumsum(m):
         draws += probs.shape[0]
 
 
-@pytest.mark.parametrize("m", [65, 96, 397, 801])
+@pytest.mark.parametrize("m", [5, 64, 65, 96, 397, 801])
 def test_two_level_draw_never_returns_a_zero_mass_column(m):
-    # nor a padding column (got < m)
+    # nor a padding column (got < m); widths 5 and 64 draw in one level.
+    # Column 0 of the last-column row has no mass, so u = 0 must skip it.
+    assert draw(np.array([[0.0, 0.3, 0.7, 0.0, 0.0]]), np.zeros(1))[0] == 1
     rng = np.random.default_rng(m + 1)
     rows = np.arange(41)
     for _ in range(50):
         probs = awkward_rows(m, rng)
+        assert probs[36, 0] == 0.0
         for u in (np.zeros(41), np.full(41, np.nextafter(1.0, 0.0)), rng.random(41)):
             got = draw(probs, u)
             assert np.all((got >= 0) & (got < m))
