@@ -481,7 +481,7 @@ def _cmd_diagnose(cfg, out_dir):
             report = window_convergence_exact(gs, kernel, w, ladder, s_half)
             checks.append(_check("window-decreasing", report.strictly_decreasing))
             route = "exact"
-        summary["window"] = {"route": route, "distances": report.distances}
+        summary["window"] = {**dataclasses.asdict(report), "route": route}
     if "hitting" in diag["reports"]:
         v = _site_potential(cfg)
         report = hitting_time_moment(gs, kernel, diag["hit_start"],
@@ -503,15 +503,7 @@ def _cmd_diagnose(cfg, out_dir):
                            diag["growth_paths"], seed=(cfg["run"]["seed"], 62),
                            mode="grid")
         report = path_growth_check(ens, gs, diag["growth_gamma"])
-        summary["growth"] = {
-            "gamma": report.gamma,
-            "beta": report.fit.beta,
-            "fit_ok": report.fit_ok,
-            "limsup_proxy": report.limsup_proxy,
-            "summable": report.summability.summable,
-            "tail_slope": report.summability.slope,
-            "rows": report.rows,
-        }
+        summary["growth"] = report
         if report.fit_ok:
             checks.append(_check("growth-exceedance-consistent",
                                  report.all_consistent))

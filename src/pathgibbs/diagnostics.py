@@ -287,9 +287,8 @@ def hitting_time_moment(gs: GroundState, kernel: HeatKernel, start,
         idx = np.flatnonzero(alive)
         if idx.size == 0:
             break
-        for comp in (0, 1):
-            state[idx, comp] = sample_rows(cdf_rows, state[idx, comp],
-                                           rng.random(idx.size))
+        state[idx] = sample_rows(cdf_rows, state[idx].T.ravel(),
+                                 rng.random(2 * idx.size)).reshape(2, -1).T
         pos = grid.x[state[idx]]
         hit = np.hypot(pos[:, 0], pos[:, 1]) <= radius
         tau[idx[hit]] = k * kernel.dt
@@ -342,11 +341,10 @@ def doubled_moment_exact(gs: GroundState, kernel: HeatKernel, w: PairPotential,
     b0 = n_steps + 1
     starts_first = [0, b0, *range(1, b0), *range(b0 + 1, 2 * b0)]
     steps = [pair for k in range(n_steps) for pair in ((k, k + 1), (b0 + k, b0 + k + 1))]
-    with np.errstate(divide="ignore"):
-        log_p = np.log(transfer_matrix(gs, kernel))
     mask, lags = doubled_layout(n_steps, kernel.dt)
     log_ref, log_weights = enumerated_log_weights(np.zeros(2 * b0, dtype=int), starts_first,
-                                                  log_p, steps, None, w, gs.grid.x, mask, lags)
+                                                  transfer_matrix(gs, kernel), steps, None,
+                                                  w, gs.grid.x, mask, lags)
     return np.exp(log_sum_exp(log_weights.reshape(m, m, -1), axis=2)
                   - log_sum_exp(log_ref.reshape(m, m, -1), axis=2))
 

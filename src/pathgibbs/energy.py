@@ -166,7 +166,9 @@ def check_shift_inequality(w: PairPotential, paths, T: float, taus,
     The paths must share one time grid spanning [-T - max(tau),
     T + max(tau)]. When C and D are given, violations are reported against
     them; the fitted (c_star, d_star) is the smallest feasible line over
-    the sampled gaps either way.
+    the sampled gaps either way. Without C and D the fitted line dominates
+    every gap by construction, so `holds` is then always true and only
+    c_star and d_star carry information.
     """
     paths = list(paths)
     taus = np.asarray(sorted(float(t) for t in taus), dtype=float)

@@ -125,15 +125,8 @@ def sample_paths(gs: GroundState, kernel: HeatKernel, timegrid: TimeGrid,
     return PathEnsemble(timegrid, positions)
 
 
-def _bridge_law(row: np.ndarray, col: np.ndarray) -> np.ndarray:
-    """Next-node law from the kernel row of the current node and the
-    kernel column that carries the remaining steps to the pin."""
-    weights = row * col
-    total = weights.sum()
-    if total <= 0.0:
-        raise ValueError("zero conditional mass between the endpoints; "
-                         "increase dt or the number of bridge steps")
-    return weights / total
+_ZERO_BRIDGE_MASS = ("zero conditional mass between the endpoints; "
+                     "increase dt or the number of bridge steps")
 
 
 def bridge_conditional(kernel: HeatKernel, current: int, pin: int,
@@ -142,26 +135,35 @@ def bridge_conditional(kernel: HeatKernel, current: int, pin: int,
     `steps_left` further steps (probabilities over the grid)."""
     if steps_left < 1:
         raise ValueError("bridge conditional needs at least one step to the pin")
-    return _bridge_law(kernel.matrix[current], kernel.pin_columns(pin, steps_left)[-1])
+    weights = kernel.matrix[current] * kernel.pin_columns(pin, steps_left)[-1]
+    if weights.sum() <= 0.0:
+        raise ValueError(_ZERO_BRIDGE_MASS)
+    return weights / weights.sum()
 
 
-def sample_bridge(gs: GroundState, kernel: HeatKernel, timegrid: TimeGrid,
-                  a: float, b: float, seed) -> Path:
-    """Exact conditional chain given x at -T equals a and x at +T equals b.
+def sample_bridge(kernel: HeatKernel, timegrid: TimeGrid, a: float, b: float,
+                  n_paths: int, seed) -> PathEnsemble:
+    """Independent exact bridges given x at -T equals a and x at +T equals b.
 
-    The pin columns K^j[:, b] are built once for the whole bridge.
+    The pin columns K^j[:, b] are built once.  At interior step k of m every
+    path draws from the row cumsums of K · K^(m-k)[:, b], built only for the
+    distinct nodes the paths occupy at step k - 1.
     """
-    ia, ib = gs.grid.index_of(a), gs.grid.index_of(b)
+    if abs(kernel.dt - timegrid.dt) > 1e-12:
+        raise ValueError(f"kernel step {kernel.dt} does not match time grid step {timegrid.dt}")
+    ia, ib = kernel.grid.index_of(a), kernel.grid.index_of(b)
     rng = make_rng(seed)
     m = timegrid.n_times - 1
-    cols = kernel.pin_columns(ib, max(m, 1))
-    idx = np.empty(timegrid.n_times, dtype=np.int64)
-    idx[0] = ia
-    idx[-1] = ib
+    cols = kernel.pin_columns(ib, m)
+    idx = np.empty((n_paths, timegrid.n_times), dtype=np.int64)
+    idx[:, 0], idx[:, -1] = ia, ib
     for k in range(1, m):
-        cdf = np.cumsum(_bridge_law(kernel.matrix[idx[k - 1]], cols[m - k]))
-        idx[k] = sample_rows(cdf[None, :], np.zeros(1, dtype=np.int64), rng.random(1))[0]
-    return Path(timegrid, gs.grid.x[idx])
+        rows, current = np.unique(idx[:, k - 1], return_inverse=True)
+        cdf_rows = np.cumsum(kernel.matrix[rows] * cols[m - k], axis=1)
+        if np.any(cdf_rows[:, -1] <= 0.0):
+            raise ValueError(_ZERO_BRIDGE_MASS)
+        idx[:, k] = sample_rows(cdf_rows, current, rng.random(n_paths))
+    return PathEnsemble(timegrid, kernel.grid.x[idx])
 
 
 def bridge_marginal(kernel: HeatKernel, ia: int, ib: int, k: int, m: int) -> np.ndarray:

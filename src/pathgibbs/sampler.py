@@ -318,9 +318,8 @@ class _Engine:
 def _initial_positions(spec: GibbsSpec, config: ChainConfig) -> np.ndarray:
     """Exact reference draw per chain (bridge draw when pinned)."""
     if isinstance(spec.boundary, Pinned):
-        return np.array([sample_bridge(spec.gs, spec.kernel, spec.timegrid, spec.boundary.left,
-                                       spec.boundary.right, seed=(config.seed, 13, c)).positions
-                         for c in range(config.n_chains)])
+        return sample_bridge(spec.kernel, spec.timegrid, spec.boundary.left, spec.boundary.right,
+                             config.n_chains, seed=(config.seed, 13)).positions
     return sample_paths(spec.gs, spec.kernel, spec.timegrid, config.n_chains,
                         seed=(config.seed, 12), mode=config.mode).positions
 
@@ -463,18 +462,20 @@ def enumerate_configs(m: int, base, sites) -> np.ndarray:
     return configs.reshape(-1, len(nodes))
 
 
-def _enumerated_terms(base, sites, log_step: np.ndarray, steps, ends, w: PairPotential,
+def _enumerated_terms(base, sites, step: np.ndarray, steps, ends, w: PairPotential,
                       x: np.ndarray, mask: np.ndarray, lags: np.ndarray) -> tuple[list, list]:
     """The reference and pair terms of `enumerated_log_weights` as (axes, term)
     pairs: each term is taken at the column nodes, so it is an array only on
-    the set `axes` of enumerated axes it spans (a scalar, one axis or m x m)."""
+    the set `axes` of enumerated axes it spans (a scalar, one axis or m x m),
+    and only the step entries gathered there are logged."""
     nodes = _column_nodes(x.size, base, sites)
     axis_of = {site: axis for axis, site in enumerate(sites)}
 
     def axes(*columns):
         return {axis_of[c] for c in columns if c in axis_of}
 
-    ref = [(axes(a, b), log_step[nodes[a], nodes[b]]) for a, b in steps]
+    with np.errstate(divide="ignore"):
+        ref = [(axes(a, b), np.log(step[nodes[a], nodes[b]])) for a, b in steps]
     if ends is not None:
         ref += [(axes(0), ends[0][nodes[0]]), (axes(len(nodes) - 1), ends[1][nodes[-1]])]
     i, j, weight, lag, diagonal = pair_terms(w, mask, lags)
@@ -499,16 +500,16 @@ def _summed(terms: list, m: int, k: int) -> np.ndarray:
     return out
 
 
-def enumerated_log_weights(base, sites, log_step: np.ndarray, steps, ends,
+def enumerated_log_weights(base, sites, step: np.ndarray, steps, ends,
                            w: PairPotential, x: np.ndarray, mask: np.ndarray,
                            lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reference log-mass and log-weight of every assignment to the columns
     `sites` of `base`: (m,) * len(sites) arrays, m = x.size, whose flat order
-    is that of `enumerate_configs`.  The log-mass sums log_step[a, b] over
-    `steps`, plus ends[0] and ends[1] at the first and last column unless
-    `ends` is None; the log-weight adds the `energy.pair_terms`, each
-    -weight * W(|x_a - x_b|, lag) at the column nodes, and the diagonal."""
-    ref, pairs = _enumerated_terms(base, sites, log_step, steps, ends, w, x, mask, lags)
+    is that of `enumerate_configs`.  The log-mass sums log(step[a, b]) over
+    `steps`, plus the log vectors ends[0] and ends[1] at the first and last
+    column unless `ends` is None; the log-weight adds the `energy.pair_terms`,
+    each -weight * W(|x_a - x_b|, lag) at the column nodes, and the diagonal."""
+    ref, pairs = _enumerated_terms(base, sites, step, steps, ends, w, x, mask, lags)
     return _summed(ref, x.size, len(sites)), _summed(ref + pairs, x.size, len(sites))
 
 
@@ -524,14 +525,15 @@ def brute_force_measure(spec: GibbsSpec) -> BruteForceTable:
     check_enumerable(m, len(free), n_t)
     power = spec.kernel.power(n_t - 1)
     with np.errstate(divide="ignore"):
-        log_k, log_psi = np.log(spec.kernel.matrix), np.log(psi)
+        log_psi = np.log(psi)
         ref_log_mass = float(np.log(power[base[0], base[-1]] if edge
                                     else grid.h * psi @ power @ psi))
     if not np.isfinite(ref_log_mass):   # else some configuration has a finite log-weight
         raise ValueError("degenerate instance: zero total weight")
     ends = None if edge else (np.log(grid.h) + log_psi, log_psi)
-    ref, pairs = _enumerated_terms(base, free, log_k, [(k, k + 1) for k in range(n_t - 1)],
-                                   ends, spec.w, grid.x, SquareRegion(tg.T).weights(tg), tg.lags())
+    ref, pairs = _enumerated_terms(base, free, spec.kernel.matrix,
+                                   [(k, k + 1) for k in range(n_t - 1)], ends, spec.w, grid.x,
+                                   SquareRegion(tg.T).weights(tg), tg.lags())
     probs = _summed(ref + pairs, m, len(free))   # the log-weights, normalized in place
     peak = probs.max()
     total = np.exp(np.subtract(probs, peak, out=probs), out=probs).sum()
@@ -579,11 +581,10 @@ def window_conditional_exact(spec: GibbsSpec, s_half: float,
     """
     grid, tg = spec.grid, spec.timegrid
     ids = _window_interior(tg, s_half)
-    with np.errstate(divide="ignore"):
-        log_k = np.log(spec.kernel.matrix)
     frame = FrameRegion(s_half, tg.T)
     log_ref, log_weights = enumerated_log_weights(
-        outside_config, ids, log_k, [(k, k + 1) for k in range(ids[0] - 1, ids[-1] + 1)], None,
+        outside_config, ids, spec.kernel.matrix,
+        [(k, k + 1) for k in range(ids[0] - 1, ids[-1] + 1)], None,
         spec.w, grid.x, frame.weights(tg), tg.lags())
     probs = np.exp(log_weights - log_sum_exp(log_weights))
     bridge = np.exp(log_ref - log_sum_exp(log_ref))

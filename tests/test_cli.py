@@ -204,6 +204,20 @@ def test_sample_zero_interaction_strict_passes(tmp_path):
     assert len(rec["positions"]) == len(rec["time_indices"])
 
 
+def test_sample_pinned_strict_passes(tmp_path):
+    config = write_config(tmp_path / "cfg.json",
+                          **{"model.pin": [-1.0, 1.0], "run.sweeps": 100, "run.burnin": 20,
+                             "run.chains": 8, "grid.t_half": 1.0,
+                             "output.formats": ["json", "jsonl"]})
+    code, out = run_cli(tmp_path, "sample", config, "--strict")
+    assert code == 0
+    names = [c["name"] for c in load_summary(out, "sample")["checks"]]
+    assert names == ["acceptance-positive"]
+    for line in (out / "sample_paths.jsonl").read_text().splitlines()[1:]:
+        positions = json.loads(line)["positions"]
+        assert positions[0] == -1.0 and positions[-1] == 1.0
+
+
 def small_instance(extra=None):
     cfg = {"model.w": "nelson", "model.coupling": 0.5,
            "grid.lower": -2.0, "grid.upper": 2.0, "grid.points": 5,
@@ -282,8 +296,10 @@ def test_diagnose_summary_schema(tmp_path):
     assert [set(c) for c in summary["tightness"]["cells"]] == [cell_keys, cell_keys]
     assert set(summary["hitting"]) == {"radius", "gamma", "estimate", "stderr", "tail_bound",
                                        "rhs_bound", "hit_fraction", "certified"}
-    assert set(summary["growth"]) == {"gamma", "beta", "fit_ok", "limsup_proxy", "summable",
-                                      "tail_slope", "rows"}
+    assert set(summary["growth"]) == {"fit", "gamma", "rows", "limsup_proxy", "summability",
+                                      "fit_ok"}
+    assert set(summary["growth"]["fit"]) == {"amplitude", "beta", "residual"}
+    assert set(summary["growth"]["summability"]) == {"gamma", "slope", "partial_sum", "summable"}
     row_keys = {"n", "threshold", "p_hat", "ci_low", "ci_high", "exact"}
     assert [set(r) for r in summary["growth"]["rows"]] == [row_keys] * 3
     table = (out / "tightness_cells.csv").read_text().splitlines()
@@ -297,7 +313,7 @@ def test_diagnose_summary_schema(tmp_path):
     assert code == 0
     summary = load_summary(out, "diagnose")
     assert set(summary) == {"window", "ratio", "checks", "config"}
-    assert set(summary["window"]) == {"route", "distances"}
+    assert set(summary["window"]) == {"s_half", "distances", "route"}
     assert [set(d) for d in summary["window"]["distances"]] == [
         {"t_small", "t_large", "tv", "stderr"}]
     assert set(summary["ratio"]) == {"t_values", "m_hats", "k_hat", "bounded"}

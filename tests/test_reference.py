@@ -132,12 +132,41 @@ def test_bridge_marginalization_identity(gs, k05):
         assert np.max(np.abs(direct - laws[:, col])) < 1e-13
 
 
-def test_sample_bridge_reproducible_and_pinned(gs, k05):
+def test_sample_bridge_reproducible_and_pinned(k05):
     tg = TimeGrid(1.0, 0.5)
-    b1 = sample_bridge(gs, k05, tg, -1.0, 2.0, seed=9)
-    b2 = sample_bridge(gs, k05, tg, -1.0, 2.0, seed=9)
+    b1 = sample_bridge(k05, tg, -1.0, 2.0, 4, seed=9)
+    b2 = sample_bridge(k05, tg, -1.0, 2.0, 4, seed=9)
+    assert b1.positions.shape == (4, tg.n_times)
     assert np.array_equal(b1.positions, b2.positions)
-    assert b1.positions[0] == -1.0 and b1.positions[-1] == 2.0
+    assert np.all(b1.positions[:, 0] == -1.0) and np.all(b1.positions[:, -1] == 2.0)
+
+
+def test_bridge_ensemble_marginals_match_exact_bridge_law(gs, k05):
+    # 20 000 bridges at M = 801, T = 2 (8 steps), pins -1 and 1: each of the
+    # 7 interior marginals against its exact law.  DKW gives
+    # P(KS > eps) <= 2 exp(-2 n eps^2) per marginal, so with a Bonferroni
+    # split the family-wise rate of a false failure is at most 1%.
+    tg, n, family_error = TimeGrid(2.0, 0.5), 20_000, 0.01
+    ens = sample_bridge(k05, tg, -1.0, 1.0, n, seed=17)
+    ia, ib, m = gs.grid.index_of(-1.0), gs.grid.index_of(1.0), tg.n_times - 1
+    critical = math.sqrt(math.log(2 * (m - 1) / family_error) / (2 * n))
+    worst = max(ks_statistic_atomic(ens.positions[:, k], gs.grid.x,
+                                    bridge_marginal(k05, ia, ib, k, m)) for k in range(1, m))
+    assert worst < critical
+
+
+def test_sample_bridge_rejects_a_kernel_on_another_step(k05):
+    with pytest.raises(ValueError, match="kernel step 0.5 does not match time grid step 0.25"):
+        sample_bridge(k05, TimeGrid(1.0, 0.25), 0.0, 0.0, 2, seed=1)
+
+
+def test_sample_bridge_raises_on_zero_mass_between_the_pins(gs):
+    # over 0.08 in steps of 0.02 the floored kernel cannot carry -7 to 7
+    kernel = heat_kernel(gs, 0.02)
+    with pytest.raises(ValueError, match="zero conditional mass between the endpoints"):
+        sample_bridge(kernel, TimeGrid(0.04, 0.02), -7.0, 7.0, 3, seed=1)
+    with pytest.raises(ValueError, match="zero conditional mass between the endpoints"):
+        bridge_conditional(kernel, gs.grid.index_of(-7.0), gs.grid.index_of(7.0), 3)
 
 
 LAST_U = 1.0 - 2.0**-53   # the largest double below 1
