@@ -277,8 +277,8 @@ def hitting_time_moment(gs: GroundState, kernel: HeatKernel, start,
 
     tail_bound = amplitude * (1.0 + c / gamma) * np.exp(-gamma * horizon)
     steps = int(round(horizon / kernel.dt))
-    p = transfer_matrix(gs, kernel)
-    cdf_rows = np.cumsum(p, axis=1)
+    cdf_rows = transfer_matrix(gs, kernel)
+    np.cumsum(cdf_rows, axis=1, out=cdf_rows)
     rng = make_rng(seed, 31)
     state = np.tile(nodes, (n_paths, 1))
     tau = np.full(n_paths, np.inf)

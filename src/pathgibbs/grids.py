@@ -124,5 +124,5 @@ class Path:
                 f"path length {self.positions.shape} does not match "
                 f"time grid with {self.timegrid.n_times} instants"
             )
-        if not np.all(np.isfinite(self.positions)):
+        if not np.isfinite(self.positions).all():
             raise ValueError("path contains non-finite positions")

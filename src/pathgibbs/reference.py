@@ -55,7 +55,8 @@ def transfer_matrix(gs: GroundState, kernel: HeatKernel) -> np.ndarray:
     TRANSFER_ROW_SUM_TOLERANCE means the kernel and the ground state do
     not belong together and raises ValueError.
     """
-    p = kernel.matrix * gs.psi[None, :] / gs.psi[:, None]
+    p = kernel.matrix * gs.psi[None, :]
+    p /= gs.psi[:, None]
     worst = float(np.max(np.abs(p.sum(axis=1) - 1.0)))
     if worst > TRANSFER_ROW_SUM_TOLERANCE:
         raise ValueError(f"transfer matrix row sum deviates from 1 by {worst:.3e}: "
@@ -67,19 +68,24 @@ def sample_rows(cdf_rows: np.ndarray, current: np.ndarray, u: np.ndarray) -> np.
     """The package's one draw rule, for each path from its current row of
     cumulative masses: the first column reaching max(u * row total, SMALLEST),
     so a column without mass is never drawn.  One bisection over all paths at
-    once on flat row indices, ceil(log2 M) vector passes for M columns.
+    once on flat row indices, ceil(log2 M) vector passes for M columns, in
+    five work vectors of the path count.
     """
     m, flat = cdf_rows.shape[1], cdf_rows.reshape(-1)
-    first = current * m
-    target = np.maximum(u * flat[first + (m - 1)], SMALLEST)
-    base, probe, below = first.copy(), np.empty(first.size), np.empty(first.size, dtype=bool)
+    base = current * m
+    index = base + (m - 1)
+    target = flat.take(index)
+    target *= u
+    np.maximum(target, SMALLEST, out=target)
+    probe, below = np.empty(base.size), np.empty(base.size, dtype=bool)
     width = m   # the column drawn lies in [base, base + width)
     while width > 1:
         half = width // 2
-        flat.take(base + (half - 1), out=probe, mode="clip")
+        flat.take(np.add(base, half - 1, out=index), out=probe, mode="clip")
         np.add(base, half, out=base, where=np.less(probe, target, out=below))
         width -= half
-    return base - first
+    base -= np.multiply(current, m, out=index)
+    return base
 
 
 @dataclass
@@ -103,25 +109,30 @@ def sample_paths(gs: GroundState, kernel: HeatKernel, timegrid: TimeGrid,
     mode "grid": exact chain on the space nodes. mode "interp": the same
     chain emitted with independent uniform within-cell offsets, giving
     atom-free positions whose law is the node law smoothed over cells.
+    The walk keeps one node vector per step and one M x M table, the
+    transfer matrix cumsummed in place.
     """
     if abs(kernel.dt - timegrid.dt) > 1e-12:
         raise ValueError(f"kernel step {kernel.dt} does not match time grid step {timegrid.dt}")
     if mode not in ("grid", "interp"):
         raise ValueError(f"unknown sampling mode {mode!r}")
     rng = make_rng(seed)
-    pi = stationary_weights(gs)
-    p = transfer_matrix(gs, kernel)
-    cdf_rows = np.cumsum(p, axis=1)
-    n_times = timegrid.n_times
-    idx = np.empty((n_paths, n_times), dtype=np.int64)
-    idx[:, 0] = sample_rows(np.cumsum(pi)[None, :], np.zeros(n_paths, dtype=np.int64),
-                            rng.random(n_paths))
-    for t in range(1, n_times):
-        idx[:, t] = sample_rows(cdf_rows, idx[:, t - 1], rng.random(n_paths))
-    positions = gs.grid.x[idx]
+    grid = gs.grid
+    cdf_rows = transfer_matrix(gs, kernel)
+    np.cumsum(cdf_rows, axis=1, out=cdf_rows)
+    positions = np.empty((n_paths, timegrid.n_times))
+    node = sample_rows(np.cumsum(stationary_weights(gs))[None, :],
+                       np.zeros(n_paths, dtype=np.int64), rng.random(n_paths))
+    positions[:, 0] = grid.x[node]
+    for t in range(1, timegrid.n_times):
+        node = sample_rows(cdf_rows, node, rng.random(n_paths))
+        positions[:, t] = grid.x[node]
     if mode == "interp":
-        jitter = (rng.random(idx.shape) - 0.5) * gs.grid.h
-        positions = np.clip(positions + jitter, gs.grid.lower, gs.grid.upper)
+        jitter = rng.random(positions.shape)
+        jitter -= 0.5
+        jitter *= grid.h
+        positions += jitter
+        np.clip(positions, grid.lower, grid.upper, out=positions)
     return PathEnsemble(timegrid, positions)
 
 
@@ -146,24 +157,29 @@ def sample_bridge(kernel: HeatKernel, timegrid: TimeGrid, a: float, b: float,
     """Independent exact bridges given x at -T equals a and x at +T equals b.
 
     The pin columns K^j[:, b] are built once.  At interior step k of m every
-    path draws from the row cumsums of K · K^(m-k)[:, b], built only for the
-    distinct nodes the paths occupy at step k - 1.
+    path draws from the row cumsums of K · K^(m-k)[:, b], built in place only
+    for the distinct nodes the paths occupy at step k - 1, and the walk keeps
+    one node vector per step.
     """
     if abs(kernel.dt - timegrid.dt) > 1e-12:
         raise ValueError(f"kernel step {kernel.dt} does not match time grid step {timegrid.dt}")
+    x = kernel.grid.x
     ia, ib = kernel.grid.index_of(a), kernel.grid.index_of(b)
     rng = make_rng(seed)
     m = timegrid.n_times - 1
     cols = kernel.pin_columns(ib, m)
-    idx = np.empty((n_paths, timegrid.n_times), dtype=np.int64)
-    idx[:, 0], idx[:, -1] = ia, ib
+    positions = np.empty((n_paths, timegrid.n_times))
+    positions[:, 0], positions[:, -1] = x[ia], x[ib]
+    node = np.full(n_paths, ia)
     for k in range(1, m):
-        rows, current = np.unique(idx[:, k - 1], return_inverse=True)
-        cdf_rows = np.cumsum(kernel.matrix[rows] * cols[m - k], axis=1)
+        rows, current = np.unique(node, return_inverse=True)
+        cdf_rows = kernel.matrix[rows] * cols[m - k]
+        np.cumsum(cdf_rows, axis=1, out=cdf_rows)
         if np.any(cdf_rows[:, -1] <= 0.0):
             raise ValueError(_ZERO_BRIDGE_MASS)
-        idx[:, k] = sample_rows(cdf_rows, current, rng.random(n_paths))
-    return PathEnsemble(timegrid, kernel.grid.x[idx])
+        node = sample_rows(cdf_rows, current, rng.random(n_paths))
+        positions[:, k] = x[node]
+    return PathEnsemble(timegrid, positions)
 
 
 def bridge_marginal(kernel: HeatKernel, ia: int, ib: int, k: int, m: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from pathgibbs.reference import (
     bridge_conditional,
     bridge_marginal,
     fkf_convergence,
+    make_rng,
     sample_bridge,
     sample_paths,
     sample_rows,
@@ -98,6 +100,66 @@ def test_sample_paths_interp_mode(gs, k01):
     assert np.mean(off_grid > 1e-9) > 0.99
     ks = kstest(ens.positions[:, 2], lambda z: 0.5 * (1 + erf(z))).statistic
     assert ks < 0.015
+
+
+def _first_reaching(cdf_rows, u):
+    """The draw rule written out per path: the number of columns whose
+    cumulative mass lies below max(u * row total, SMALLEST)."""
+    target = np.maximum(u * cdf_rows[:, -1], SMALLEST)
+    return np.sum(cdf_rows < target[:, None], axis=1)
+
+
+def _index_table_walk(gs, kernel, tg, n_paths, seed, mode):
+    # reference walk: the whole (n_paths, n_t) node table, one cumsummed
+    # row per path and step, then grid.x[table] and the offsets
+    rng = make_rng(seed)
+    cdf = np.cumsum(transfer_matrix(gs, kernel), axis=1)
+    idx = np.empty((n_paths, tg.n_times), dtype=np.int64)
+    start = np.tile(np.cumsum(stationary_weights(gs)), (n_paths, 1))
+    idx[:, 0] = _first_reaching(start, rng.random(n_paths))
+    for t in range(1, tg.n_times):
+        idx[:, t] = _first_reaching(cdf[idx[:, t - 1]], rng.random(n_paths))
+    positions = gs.grid.x[idx]
+    if mode == "interp":
+        jitter = (rng.random(idx.shape) - 0.5) * gs.grid.h
+        positions = np.clip(positions + jitter, gs.grid.lower, gs.grid.upper)
+    return positions
+
+
+def _index_table_bridge(kernel, tg, a, b, n_paths, seed):
+    rng = make_rng(seed)
+    ia, ib, m = kernel.grid.index_of(a), kernel.grid.index_of(b), tg.n_times - 1
+    cols = kernel.pin_columns(ib, m)
+    idx = np.empty((n_paths, tg.n_times), dtype=np.int64)
+    idx[:, 0], idx[:, -1] = ia, ib
+    for k in range(1, m):
+        cdf = np.cumsum(kernel.matrix[idx[:, k - 1]] * cols[m - k], axis=1)
+        idx[:, k] = _first_reaching(cdf, rng.random(n_paths))
+    return kernel.grid.x[idx]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_streamed_walks_equal_the_index_table_walks_bit_for_bit(gs, k05, seed):
+    tg = TimeGrid(2.0, 0.5)
+    for mode in ("grid", "interp"):
+        got = sample_paths(gs, k05, tg, 400, seed, mode=mode).positions
+        assert np.array_equal(got, _index_table_walk(gs, k05, tg, 400, seed, mode))
+    got = sample_bridge(k05, tg, -1.0, 1.5, 400, seed).positions
+    assert np.array_equal(got, _index_table_bridge(k05, tg, -1.0, 1.5, 400, seed))
+
+
+def test_stationary_draw_holds_one_table_beside_the_positions(gs, k05):
+    # 200 000 paths over 3 slices at M = 801: above the kernel, the draw may
+    # hold one M x M float64 table, the positions and 8 path-count vectors
+    n, tg, m = 200_000, TimeGrid(0.5, 0.5), gs.grid.points
+    tracemalloc.start()
+    try:
+        ens = sample_paths(gs, k05, tg, n, seed=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ens.positions.shape == (n, 3)
+    assert peak <= 8 * (m * m + n * tg.n_times + 8 * n)
 
 
 def test_bridge_conditional_definition(gs, k05):
