@@ -329,22 +329,23 @@ def _cmd_solve_ground_state(cfg, out_dir):
 def _cmd_sample(cfg, out_dir):
     gs, kernel, spec = _chain_model(cfg)
     result = run_ensemble(spec, _chain_config(cfg))
-    center = spec.timegrid.n
-    pooled = result.pooled(center)
-    nodes = gs.grid.nearest_index(pooled)
+    center = spec.timegrid.n   # every time index is recorded, so this is its column
+    positions = result.positions
+    pooled = positions[:, :, center].reshape(-1)
+    nodes = result.nodes[:, :, center].reshape(-1)
     ks = ks_statistic_atomic(gs.grid.x[nodes], gs.grid.x, stationary_weights(gs))
     checks = [_check("acceptance-positive",
                      result.accept_single > 0.0,
                      f"single={result.accept_single:.3f} block={result.accept_block:.3f}")]
     if spec.w.kind == "zero" and isinstance(spec.boundary, Smeared):
         checks.append(_check("stationary-ks", ks < 0.01, f"ks={ks:.5f}"))
-    means = result.positions.mean(axis=(0, 1))
-    stds = result.positions.std(axis=(0, 1))
+    means = positions.mean(axis=(0, 1))
+    stds = positions.std(axis=(0, 1))
     summary = {
         "accept_single": result.accept_single,
         "accept_block": result.accept_block,
-        "records": int(result.positions.shape[0]),
-        "chains": int(result.positions.shape[1]),
+        "records": int(positions.shape[0]),
+        "chains": int(positions.shape[1]),
         "center_mean": float(pooled.mean()),
         "center_std": float(pooled.std()),
         "stationary_ks": ks,

@@ -203,7 +203,7 @@ def window_convergence_mc(gs: GroundState, kernel: HeatKernel, w: PairPotential,
         ids = spec.timegrid.window_indices(s_half)
         check_enumerable(m, ids.size)
         result = run_ensemble(spec, config, record_indices=ids)
-        nodes = gs.grid.nearest_index(result.positions).reshape(-1, ids.size)
+        nodes = result.nodes.reshape(-1, ids.size)
         codes = np.ravel_multi_index(tuple(nodes.T), (m,) * ids.size)
         probs = np.bincount(codes, minlength=m ** ids.size) / codes.size
         iat = integrated_autocorr_time(result.chain_series(ids[ids.size // 2]).reshape(-1))

@@ -97,20 +97,39 @@ class ChainConfig:
 
 @dataclass
 class EnsembleResult:
-    """Recorded positions of a batch of chains, one row per recorded sweep."""
+    """Recorded states of a batch of chains, one row per recorded sweep.
+
+    In grid mode `record` holds node indices, in the smallest signed integer
+    type that holds the grid (int8 up to 128 nodes); in interp mode it holds
+    positions.  `positions` and `nodes` read either record.
+    """
 
     record_indices: np.ndarray
-    positions: np.ndarray  # (records, chains, len(record_indices))
+    record: np.ndarray  # (records, chains, len(record_indices))
+    grid: SpaceGrid
     accept_single: float
     accept_block: float
     config: ChainConfig
 
+    def _positions(self, record: np.ndarray) -> np.ndarray:
+        """Positions of part of the record; a fresh gather in grid mode."""
+        return self.grid.x[record] if self.config.mode == "grid" else record
+
+    @property
+    def positions(self) -> np.ndarray:
+        return self._positions(self.record)
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """Recorded node indices; a fresh nearest-node pass in interp mode."""
+        return self.record if self.config.mode == "grid" else self.grid.nearest_index(self.record)
+
     def _column(self, time_index: int) -> np.ndarray:
-        """(records, chains) view of the coordinate at one time index."""
+        """(records, chains) positions of the coordinate at one time index."""
         where = np.flatnonzero(self.record_indices == time_index)
         if where.size != 1:
             raise ValueError(f"time index {time_index} was not recorded")
-        return self.positions[:, :, where[0]]
+        return self._positions(self.record[:, :, where[0]])
 
     def pooled(self, time_index: int) -> np.ndarray:
         """All recorded samples of the coordinate at one time index."""
@@ -335,33 +354,38 @@ def run_ensemble(spec: GibbsSpec, config: ChainConfig,
         engine.sweep()
     engine.warn_if_stuck()
     engine.reset_counters()
-    out = np.empty((config.sweeps // config.record_every, config.n_chains, record_indices.size))
+    # grid mode records the carried nodes: in that mode pos is exactly x[nodes]
+    state, dtype = ((engine.nodes, np.min_scalar_type(-spec.grid.points))
+                    if config.mode == "grid" else (engine.pos, float))
+    out = np.empty((config.sweeps // config.record_every, config.n_chains, record_indices.size),
+                   dtype=dtype)
     row = 0
     for sweep in range(config.sweeps):
         engine.sweep()
         if (sweep + 1) % config.record_every == 0:
-            out[row] = engine.pos[:, record_indices]
+            out[row] = state[:, record_indices]
             row += 1
     single, block = engine.acceptance_rates()
-    return EnsembleResult(record_indices, out, single, block, config)
+    return EnsembleResult(record_indices, out, spec.grid, single, block, config)
 
 
 def empirical_node_marginals(result: EnsembleResult, grid: SpaceGrid) -> np.ndarray:
     """Occupancy frequencies per recorded time index (rows sum to 1)."""
+    nodes = result.nodes
     out = np.empty((result.record_indices.size, grid.points))
     for row, _ in enumerate(result.record_indices):
-        nodes = grid.nearest_index(result.positions[:, :, row].reshape(-1))
-        out[row] = np.bincount(nodes, minlength=grid.points) / nodes.size
+        column = nodes[:, :, row].reshape(-1)
+        out[row] = np.bincount(column, minlength=grid.points) / column.size
     return out
 
 
 def write_snapshots_jsonl(result: EnsembleResult, file) -> None:
     """One JSON object per recorded sweep and chain."""
-    for row in range(result.positions.shape[0]):
-        for c in range(result.positions.shape[1]):
-            rec = {"record": row, "chain": c,
-                   "time_indices": result.record_indices.tolist(),
-                   "positions": [float(v) for v in result.positions[row, c]]}
+    positions, time_indices = result.positions, result.record_indices.tolist()
+    for row in range(positions.shape[0]):
+        for c in range(positions.shape[1]):
+            rec = {"record": row, "chain": c, "time_indices": time_indices,
+                   "positions": [float(v) for v in positions[row, c]]}
             file.write(json.dumps(rec, sort_keys=True) + "\n")
 
 

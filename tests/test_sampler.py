@@ -1,6 +1,8 @@
 """Sampler tests: exact oracles, detailed balance, and chain correctness."""
 
 import functools
+import io
+import json
 import time
 import tracemalloc
 import warnings
@@ -20,7 +22,7 @@ from pathgibbs.sampler import (
     Smeared, Pinned, GibbsSpec, ChainConfig,
     run_ensemble, empirical_node_marginals, brute_force_measure,
     window_conditional_exact, enumerated_log_weights, log_sum_exp,
-    move_distribution, enumerate_configs, _Engine,
+    move_distribution, enumerate_configs, write_snapshots_jsonl, _Engine,
     _initial_positions,
 )
 from pathgibbs import sampler
@@ -692,6 +694,68 @@ def test_one_draw_per_sweep_keeps_the_per_move_stream(monkeypatch, points, mode,
     assert new.positions.tobytes() == ref.positions.tobytes()
     assert new_engine.nodes.tobytes() == ref_engine.nodes.tobytes()
     assert (new.accept_single, new.accept_block) == (ref.accept_single, ref.accept_block)
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+@pytest.mark.parametrize("mode", ["interp", "grid"])
+@pytest.mark.parametrize("case", ["smeared", "pinned"])
+def test_record_reads_as_float_copies_of_the_engine_positions(monkeypatch, seed, mode, case):
+    # the reference is the record kept before grid mode recorded nodes:
+    # a float copy of engine.pos after every sweep
+    snapshots = []
+
+    class Recording(_Engine):
+        def sweep(self):
+            super().sweep()
+            snapshots.append(self.pos.copy())
+    monkeypatch.setattr(sampler, "_Engine", Recording)
+    gs, kernel = small_model(9)
+    boundary = Pinned(gs.grid.x[3], gs.grid.x[5]) if case == "pinned" else Smeared()
+    spec = GibbsSpec(gs, kernel, nelson_pair(0.5), TimeGrid(1.5, 0.5), boundary)
+    cfg = ChainConfig(sweeps=24, burnin=6, block_len=3, seed=seed, n_chains=7, mode=mode,
+                      record_every=2)
+    ids = np.array([0, 2, 3, 6])
+    result = run_ensemble(spec, cfg, record_indices=ids)
+    ref = np.stack(snapshots[cfg.burnin + 1::2])[:, :, ids]
+    assert result.positions.tobytes() == ref.tobytes()
+    for col, t in enumerate(ids):
+        assert result.pooled(t).tobytes() == ref[:, :, col].reshape(-1).tobytes()
+        assert result.chain_series(t).tobytes() == ref[:, :, col].T.copy().tobytes()
+    old = np.empty((ids.size, gs.grid.points))
+    for row in range(ids.size):
+        nodes = gs.grid.nearest_index(ref[:, :, row].reshape(-1))
+        old[row] = np.bincount(nodes, minlength=gs.grid.points) / nodes.size
+    assert empirical_node_marginals(result, gs.grid).tobytes() == old.tobytes()
+    written = io.StringIO()
+    write_snapshots_jsonl(result, written)
+    expected = "".join(
+        json.dumps({"record": row, "chain": c, "time_indices": ids.tolist(),
+                    "positions": [float(v) for v in ref[row, c]]}, sort_keys=True) + "\n"
+        for row in range(ref.shape[0]) for c in range(ref.shape[1]))
+    assert written.getvalue() == expected
+
+
+@pytest.mark.parametrize("mode, points, dtype", [("grid", 5, np.int8), ("grid", 801, np.int16),
+                                                 ("interp", 5, np.float64)])
+def test_record_dtype_is_the_smallest_that_holds_the_grid(mode, points, dtype):
+    spec = spec_small(nelson_pair(0.5), points=points) if points == 5 else \
+        spec_wide(nelson_pair(0.5), T=1.0)
+    result = run_ensemble(spec, ChainConfig(sweeps=3, burnin=1, block_len=2, seed=2,
+                                            n_chains=2, mode=mode))
+    assert result.record.dtype == dtype
+    assert result.positions.dtype == np.float64
+    assert result.nodes.dtype.kind == "i"
+    assert np.array_equal(result.nodes, spec.grid.nearest_index(result.positions))
+
+
+def test_criterion_05_record_takes_one_byte_per_sample():
+    # the oracle workload's criterion-05 run: 900 records of 100 chains at 5 slices
+    spec = spec_small(nelson_pair(0.5), T=1.0)
+    result = run_ensemble(spec, ChainConfig(sweeps=900, burnin=100, block_len=3, seed=5,
+                                            n_chains=100, mode="grid"))
+    assert result.record.shape == (900, 100, 5)
+    assert result.record.nbytes == 450_000
+    assert result.positions.nbytes == 3_600_000
 
 
 # ---------------------------------------------------------------------------
