@@ -407,6 +407,7 @@ def _cmd_dlr_test(cfg, out_dir):
 
 
 def _cmd_energy_check(cfg, out_dir):
+    _require(cfg["model"]["pin"] is None, "model.pin: energy-check runs on free-end paths only")
     gs, kernel, spec = _chain_model(cfg)
     w = spec.w
     T = cfg["grid"]["t_half"]
@@ -448,6 +449,7 @@ def _cmd_energy_check(cfg, out_dir):
 
 
 def _cmd_diagnose(cfg, out_dir):
+    _require(cfg["model"]["pin"] is None, "model.pin: diagnose runs on free-end paths only")
     gs, kernel, spec = _chain_model(cfg)
     w = spec.w
     diag = cfg["diagnostics"]

@@ -115,8 +115,6 @@ def _shift_index(tg: TimeGrid, tau: float) -> tuple[TimeGrid, np.ndarray]:
     k = round(tau / tg.dt)
     if k < 0 or abs(k * tg.dt - tau) > 1e-12 * max(1.0, tau):
         raise ValueError(f"shift {tau} is not a nonnegative multiple of dt = {tg.dt}")
-    if k == 0:
-        return tg, np.arange(tg.n_times)
     if tg.n - k < 1:
         raise ValueError(f"shift {tau} leaves no interior window of the path")
     out_tg = TimeGrid((tg.n - k) * tg.dt, tg.dt)

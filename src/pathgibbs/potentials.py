@@ -112,9 +112,7 @@ class PairPotential:
         Unchecked: the caller guarantees u >= 0 and t >= 0.  This is the
         form the sampler's hot path and the enumeration oracle call.
         """
-        if self.kind == "zero":
-            return np.zeros(np.broadcast(u, t).shape)
-        if self.kind == "constant":
+        if self.kind in ("zero", "constant"):
             return np.full(np.broadcast(u, t).shape, self.value)
         if self.kind == "nelson":
             return -self.coupling / (u ** 2 + t * t + 1.0)
@@ -125,9 +123,7 @@ class PairPotential:
     def envelope(self, t):
         """Pointwise dominating function for |W| at time separation t."""
         t = np.asarray(t, dtype=float)
-        if self.kind == "zero":
-            out = np.zeros_like(t)
-        elif self.kind == "constant":
+        if self.kind in ("zero", "constant"):
             out = np.full_like(t, abs(self.value))
         elif self.kind in ("nelson", "step"):
             out = self.coupling / (t * t + 1.0)
@@ -137,9 +133,7 @@ class PairPotential:
 
     def envelope_tail(self, a: float) -> float:
         """Closed-form integral of the envelope over [a, infinity)."""
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "constant":
+        if self.kind in ("zero", "constant"):
             return 0.0 if self.value == 0.0 else math.inf
         if self.kind in ("nelson", "step"):
             return self.coupling * (0.5 * math.pi - math.atan(a))
@@ -147,6 +141,7 @@ class PairPotential:
 
 
 def zero_pair() -> PairPotential:
+    """W = 0, served as the constant pair at its default `value` 0."""
     return PairPotential("zero", coupling=0.0, monotone_in_t=True)
 
 

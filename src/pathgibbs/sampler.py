@@ -124,20 +124,12 @@ class EnsembleResult:
         """Recorded node indices; a fresh nearest-node pass in interp mode."""
         return self.record if self.config.mode == "grid" else self.grid.nearest_index(self.record)
 
-    def _column(self, time_index: int) -> np.ndarray:
-        """(records, chains) positions of the coordinate at one time index."""
+    def chain_series(self, time_index: int) -> np.ndarray:
+        """(chains, records) series of one coordinate, for autocorrelation."""
         where = np.flatnonzero(self.record_indices == time_index)
         if where.size != 1:
             raise ValueError(f"time index {time_index} was not recorded")
-        return self._positions(self.record[:, :, where[0]])
-
-    def pooled(self, time_index: int) -> np.ndarray:
-        """All recorded samples of the coordinate at one time index."""
-        return self._column(time_index).reshape(-1)
-
-    def chain_series(self, time_index: int) -> np.ndarray:
-        """(chains, records) series of one coordinate, for autocorrelation."""
-        return self._column(time_index).T.copy()
+        return self._positions(self.record[:, :, where[0]]).T.copy()
 
 
 DRAW_BLOCK = 32   # columns per block of the two-level proposal draw
@@ -207,13 +199,12 @@ class _Engine:
         tg = spec.timegrid
         self.n_t = tg.n_times
         self.lags = tg.lags()
-        self.mask = SquareRegion(tg.T).weights(tg)
         edge = int(isinstance(spec.boundary, Pinned))   # pinned endpoints never move
         self.free = np.arange(edge, self.n_t - edge)
-        # weight of each unordered pair i != j; the diagonal W(0, 0) terms never change
-        offdiag = self.mask.copy()
-        np.fill_diagonal(offdiag, 0.0)
-        self.sym_w = offdiag + offdiag.T
+        # weight of each unordered pair i != j, both ways round; the diagonal terms never change
+        i, j, weight, _, _ = pair_terms(self.w, SquareRegion(tg.T).weights(tg), self.lags)
+        self.sym_w = np.zeros((self.n_t, self.n_t))
+        self.sym_w[i, j] = self.sym_w[j, i] = weight
         self._slab_w = {}
         self.pos = np.array(init, dtype=float, copy=True)
         if self.pos.shape != (config.n_chains, self.n_t):

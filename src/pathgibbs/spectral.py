@@ -338,19 +338,17 @@ class HeatKernel:
     _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def power(self, m: int) -> np.ndarray:
-        """Kernel of m steps: products of the non-negative kernel matrix.
+        """Kernel of m >= 1 steps: products of the non-negative kernel matrix.
 
         K^(2k) is the square of K^k and K^(2k+1) is K times K^(2k), both
         read from the cache; every product is symmetric and floored at
         KERNEL_FLOOR.  Each power is built once per kernel and returned
         read-only.
         """
-        if m < 0:
-            raise ValueError("kernel power needs m >= 0")
+        if m < 1:
+            raise ValueError("kernel power needs m >= 1")
         if m not in self._powers:
-            if m == 0:
-                result = np.eye(self.grid.points)
-            elif m == 1:
+            if m == 1:
                 # a view, not a copy: the cached K^1 shares the memory of `matrix`
                 result = self.matrix.view()
             elif m % 2:

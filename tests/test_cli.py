@@ -368,6 +368,16 @@ def test_domain_errors_exit_2(tmp_path, capsys):
     assert "window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["diagnose", "energy-check"])
+def test_free_end_commands_reject_a_pin(tmp_path, capsys, command):
+    # their reports run on free-end paths, so a pin would be silently ignored
+    config = write_config(tmp_path / "cfg.json", **small_instance({"model.pin": [0.0, 0.0]}))
+    code, out = run_cli(tmp_path, command, config)
+    assert code == 2
+    assert "model.pin:" in capsys.readouterr().err
+    assert not (out / f"{command.replace('-', '_')}.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # determinism and output routing
 

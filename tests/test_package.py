@@ -61,7 +61,8 @@ def _own_parts(node):
 
 
 def _names_in(nodes):
-    return {n.id if isinstance(n, ast.Name) else n.attr
+    """The bare names the nodes read, and their attribute names with a leading dot."""
+    return {n.id if isinstance(n, ast.Name) else "." + n.attr
             for node in nodes for n in ast.walk(node)
             if isinstance(n, (ast.Name, ast.Attribute))}
 
@@ -69,20 +70,21 @@ def _names_in(nodes):
 def _is_reached(key, live, used):
     cls, _, member = key.rpartition(".")
     if not cls:
-        return key in used
+        return key in used or "." + key in used
     dunder = member.startswith("__") and member.endswith("__")
-    return cls in live and (dunder or member in used)
+    return cls in live and (dunder or "." + member in used)
 
 
 def test_every_definition_is_reached_from_a_command_or_the_benchmark():
     # live roots: the cli entry point, every module's top-level statements
     # outside its definitions, everything perfbench/ uses and the test
     # references; a definition is live once live code names it, and a
-    # method or property once its class is live and live code names the
-    # member (any attribute of that name counts; dunders always do)
+    # method or property once its class is live and live code reads the
+    # member as an attribute (any attribute of that name counts, a bare name
+    # does not; dunders always do)
     package = Path(pathgibbs.__file__).parent
     definitions = {}
-    used = {"main"} | {key.rpartition(".")[2] for key in TEST_REFERENCES}
+    used = {"main"} | {"".join(key.rpartition(".")[1:]) for key in TEST_REFERENCES}
     for path in sorted(package.glob("*.py")):
         if path.name == "__init__.py":
             continue
@@ -110,41 +112,56 @@ TEST_INPUTS = {
     "check_shift_inequality.tol": "tests read every per-path gap through `violations`",
     "harmonic.shift": "the spectral shift tests build their inputs with it",
     "main.argv": "tests drive the entry point through it",
+    "sufficient_condition_report.mode": "tests check the 8 * budget finite-interaction "
+                                        "variant; `conditions` reports the monotone one",
 }
 
 
 def _defaulted_parameters(node):
-    """(name, position) of each parameter of a def that has a default; the
-    position counts the call's positional arguments, so a method's skips self,
-    and is None for keyword-only parameters."""
+    """(name, position, default) of each parameter of a def that has a
+    default; the position counts the call's positional arguments, so a
+    method's skips self, and is None for keyword-only parameters."""
     args = node.args
     positional = args.posonlyargs + args.args
     offset = 1 if positional and positional[0].arg in ("self", "cls") else 0
     first = len(positional) - len(args.defaults)
-    return ([(a.arg, i - offset) for i, a in enumerate(positional) if i >= first]
-            + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None])
+    return ([(a.arg, i - offset, args.defaults[i - first])
+             for i, a in enumerate(positional) if i >= first]
+            + [(a.arg, None, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None])
 
 
 def _calls(trees):
-    """Callee name -> list of (positional count, keyword names) over every call;
-    a function handed to a wrapper counts as called with the arguments after it."""
+    """Callee name -> list of (positional arguments, keyword arguments by name)
+    over every call; a function handed to a wrapper counts as called with the
+    arguments after it."""
     found = {}
     for tree in trees:
         for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
-            keywords = {k.arg for k in call.keywords}
+            keywords = {k.arg: k.value for k in call.keywords}
             targets = [(call.func, call.args)] + [(a, call.args[j + 1:])
                                                    for j, a in enumerate(call.args)]
             for func, args in targets:
                 if isinstance(func, (ast.Name, ast.Attribute)):
                     name = func.id if isinstance(func, ast.Name) else func.attr
-                    found.setdefault(name, []).append((len(args), keywords))
+                    found.setdefault(name, []).append((args, keywords))
     return found
+
+
+def _passes(param, position, default, args, keywords):
+    """Whether a call gives the parameter a value other than its default, as
+    written: passing the default's own expression leaves the parameter unused."""
+    value = keywords.get(param)
+    if value is None and position is not None and position < len(args):
+        value = args[position]
+    return value is not None and ast.dump(value) != ast.dump(default)
 
 
 def test_every_optional_parameter_is_passed_by_live_code():
     # a parameter with a default is live once some call in the package or in
-    # perfbench/ passes it, by keyword or by position; calls are matched by
-    # the callee's name, as the orphan scan matches definitions
+    # perfbench/ passes it, by keyword or by position, a value other than its
+    # default as written; calls are matched by the callee's name, as the
+    # orphan scan matches definitions
     package = Path(pathgibbs.__file__).parent
     bench = Path(__file__).resolve().parents[1] / "perfbench"
     trees = [ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))]
@@ -155,9 +172,9 @@ def test_every_optional_parameter_is_passed_by_live_code():
             if isinstance(node, ast.ClassDef):
                 continue
             name = key.rpartition(".")[2]
-            for param, position in _defaulted_parameters(node):
-                if not any(param in keywords or (position is not None and position < count)
-                           for count, keywords in calls.get(name, [])):
+            for param, position, default in _defaulted_parameters(node):
+                if not any(_passes(param, position, default, args, keywords)
+                           for args, keywords in calls.get(name, [])):
                     unpassed.append(f"{name}.{param}")
     assert sorted(set(unpassed) - set(TEST_INPUTS)) == []
     assert sorted(set(TEST_INPUTS) - set(unpassed)) == []

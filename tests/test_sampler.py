@@ -302,12 +302,13 @@ def test_incremental_site_update_matches_full_recompute(w):
     rng = make_rng(17)
     init = rng.normal(scale=1.2, size=(16, spec.timegrid.n_times))
     engine = _Engine(spec, cfg, init)
+    mask = SquareRegion(2.0).weights(spec.timegrid)   # the reference, not the engine's weights
     for i in [0, 3, spec.timegrid.n_times - 1]:
         z = rng.normal(scale=1.2, size=(16, 1))
         new = engine.pos.copy()
         new[:, i:i + 1] = z
-        full = (pair_action(w, new, engine.mask, engine.lags)
-                - pair_action(w, engine.pos, engine.mask, engine.lags))
+        full = (pair_action(w, new, mask, engine.lags)
+                - pair_action(w, engine.pos, mask, engine.lags))
         assert np.max(np.abs(engine._delta_h(i, 1, z) - full)) < 1e-10
 
 
@@ -319,12 +320,13 @@ def test_incremental_block_update_matches_full_recompute(w):
     rng = make_rng(23)
     init = rng.normal(scale=1.1, size=(12, spec.timegrid.n_times))
     engine = _Engine(spec, cfg, init)
+    mask = SquareRegion(2.0).weights(spec.timegrid)   # the reference, not the engine's weights
     for s, length in [(3, 4), (3, 1)]:
         z = rng.normal(scale=1.1, size=(12, length))
         new = engine.pos.copy()
         new[:, s:s + length] = z
-        full = (pair_action(w, new, engine.mask, engine.lags)
-                - pair_action(w, engine.pos, engine.mask, engine.lags))
+        full = (pair_action(w, new, mask, engine.lags)
+                - pair_action(w, engine.pos, mask, engine.lags))
         assert np.max(np.abs(engine._delta_h(s, length, z) - full)) < 1e-10
 
 
@@ -486,7 +488,7 @@ def test_zero_w_chain_accepts_everything_and_matches_reference():
     result = run_ensemble(spec, cfg, record_indices=[spec.timegrid.n])
     assert result.accept_single == 1.0
     assert result.accept_block == 1.0
-    samples = result.pooled(spec.timegrid.n)
+    samples = result.positions[:, :, 0].reshape(-1)
     pi = stationary_weights(spec.gs)
     assert ks_statistic_atomic(samples, spec.grid.x, pi) < 0.01
 
@@ -553,9 +555,10 @@ def test_pinned_zero_w_marginals_match_exact_bridge():
     n = spec.timegrid.n
     result = run_ensemble(spec, cfg, record_indices=[n - 1, n + 1])
     steps = spec.timegrid.n_times - 1
-    for k in (n - 1, n + 1):
+    for col, k in enumerate((n - 1, n + 1)):
         exact = bridge_marginal(kernel, iy, iy, k, steps)
-        assert ks_statistic_atomic(result.pooled(k), gs.grid.x, exact) < 0.01
+        samples = result.positions[:, :, col].reshape(-1)
+        assert ks_statistic_atomic(samples, gs.grid.x, exact) < 0.01
     # the exact pinned marginals are symmetric around t=0
     left = bridge_marginal(kernel, iy, iy, n - 1, steps)
     right = bridge_marginal(kernel, iy, iy, n + 1, steps)
@@ -719,7 +722,6 @@ def test_record_reads_as_float_copies_of_the_engine_positions(monkeypatch, seed,
     ref = np.stack(snapshots[cfg.burnin + 1::2])[:, :, ids]
     assert result.positions.tobytes() == ref.tobytes()
     for col, t in enumerate(ids):
-        assert result.pooled(t).tobytes() == ref[:, :, col].reshape(-1).tobytes()
         assert result.chain_series(t).tobytes() == ref[:, :, col].T.copy().tobytes()
     old = np.empty((ids.size, gs.grid.points))
     for row in range(ids.size):
