@@ -22,7 +22,7 @@ from .grids import SpaceGrid, TimeGrid, radial_grid
 from .potentials import (harmonic, box_zero, coulomb_3d, zero_pair, constant_pair,
                          nelson_pair, step_pair, interaction_budget,
                          check_time_monotone, sufficient_condition_report)
-from .spectral import ground_state, ground_state_radial, heat_kernel
+from .spectral import DEFAULT_BOX, ground_state, ground_state_radial, heat_kernel
 from .reference import sample_paths, stationary_weights
 from .energy import SquareRegion, StripRegion, fold_path, doubled_energy, region_action
 from .stats import ks_statistic_atomic, total_variation
@@ -53,9 +53,9 @@ DEFAULTS = {
         "pin": None,         # [left, right] endpoint values, or null for smeared
     },
     "grid": {
-        "lower": -8.0,
-        "upper": 8.0,
-        "points": 801,
+        "lower": DEFAULT_BOX[0],
+        "upper": DEFAULT_BOX[1],
+        "points": DEFAULT_BOX[2],
         "dt": 0.5,
         "t_half": 2.0,
         "s_half": 0.5,
@@ -213,20 +213,17 @@ def _pair_potential(cfg: dict):
 def _solve(cfg: dict):
     v = _site_potential(cfg)
     if cfg["model"]["dim"] == 3:
-        gs = ground_state_radial(v, radial_grid(cfg["grid"]["radial_rmax"],
-                                                cfg["grid"]["radial_points"]))
-    else:
-        grid = SpaceGrid(cfg["grid"]["lower"], cfg["grid"]["upper"],
-                         cfg["grid"]["points"])
-        gs = ground_state(v, grid)
-    return v, gs
+        return ground_state_radial(v, radial_grid(cfg["grid"]["radial_rmax"],
+                                                  cfg["grid"]["radial_points"]))
+    return ground_state(v, SpaceGrid(cfg["grid"]["lower"], cfg["grid"]["upper"],
+                                     cfg["grid"]["points"]))
 
 
 def _chain_model(cfg: dict):
     """Ground state, kernel and Gibbs layout for the 1-d sampling commands."""
     if cfg["model"]["dim"] != 1:
         raise ConfigError("model.dim: sampling pipelines support dim = 1 only")
-    _, gs = _solve(cfg)
+    gs = _solve(cfg)
     kernel = heat_kernel(gs, cfg["grid"]["dt"])
     pin = cfg["model"]["pin"]
     boundary = Smeared() if pin is None else Pinned(pin[0], pin[1])
@@ -308,7 +305,7 @@ def _check(name: str, passed: bool, detail: str = "") -> dict:
 
 
 def _cmd_solve_ground_state(cfg, out_dir):
-    _, gs = _solve(cfg)
+    gs = _solve(cfg)
     residual = gs.residual()
     summary = {
         "energy": gs.energy,

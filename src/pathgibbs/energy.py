@@ -102,14 +102,6 @@ def interaction_energy(w: PairPotential, path: Path, region: Region) -> float:
     return float(region_action(w, path.positions, path.timegrid, region)[0])
 
 
-def _stack(paths: list) -> tuple[TimeGrid, np.ndarray]:
-    """The one time grid of an ensemble and its positions, one path per row."""
-    tg = paths[0].timegrid
-    if any(p.timegrid != tg for p in paths):
-        raise ValueError("paths must share one time grid")
-    return tg, np.stack([p.positions for p in paths])
-
-
 def _shift_index(tg: TimeGrid, tau: float) -> tuple[TimeGrid, np.ndarray]:
     """Grid of the shifted path and, per instant, the index it reads from."""
     k = round(tau / tg.dt)
@@ -172,7 +164,10 @@ def check_shift_inequality(w: PairPotential, paths, T: float, taus,
     taus = np.asarray(sorted(float(t) for t in taus), dtype=float)
     if not paths or taus.size == 0 or taus[0] <= 0:
         raise ValueError("need paths and positive shift values")
-    tg, x = _stack(paths)
+    tg = paths[0].timegrid
+    if any(p.timegrid != tg for p in paths):
+        raise ValueError("paths must share one time grid")
+    x = np.stack([p.positions for p in paths])
     region = SquareRegion(T)
     base = region_action(w, x, tg, region)
     gaps = np.empty((len(paths), taus.size))

@@ -205,7 +205,6 @@ class _Engine:
         i, j, weight, _, _ = pair_terms(self.w, SquareRegion(tg.T).weights(tg), self.lags)
         self.sym_w = np.zeros((self.n_t, self.n_t))
         self.sym_w[i, j] = self.sym_w[j, i] = weight
-        self._slab_w = {}
         self.pos = np.array(init, dtype=float, copy=True)
         if self.pos.shape != (config.n_chains, self.n_t):
             raise ValueError("initial positions have the wrong shape")
@@ -261,14 +260,14 @@ class _Engine:
         H is minus the weighted W sum, so this is (W_old − W_new) times the
         symmetric weights.  Pairs inside the block appear twice in the
         (chains, length, n_t) slab, so they carry half their weight; for
-        length 1 that entry is the zero diagonal.
+        length 1 that entry is the zero diagonal, so the row serves as it is.
         """
         end, pos = s + length, self.pos
-        weights = self._slab_w.get((s, length))
-        if weights is None:
+        weights = self.sym_w[s]
+        if length > 1:
             weights = self.sym_w[s:end].copy()
             weights[:, s:end] *= 0.5
-            weights = self._slab_w[s, length] = weights.ravel()
+            weights = weights.ravel()
         both = np.array((pos, pos))   # old and new state, one radial call
         both[1, :, s:end] = z
         d = self.w.radial(np.abs(both[:, :, s:end, None] - both[:, :, None, :]), self.lags[s:end])
@@ -362,12 +361,10 @@ def run_ensemble(spec: GibbsSpec, config: ChainConfig,
 
 def empirical_node_marginals(result: EnsembleResult, grid: SpaceGrid) -> np.ndarray:
     """Occupancy frequencies per recorded time index (rows sum to 1)."""
-    nodes = result.nodes
-    out = np.empty((result.record_indices.size, grid.points))
-    for row, _ in enumerate(result.record_indices):
-        column = nodes[:, :, row].reshape(-1)
-        out[row] = np.bincount(column, minlength=grid.points) / column.size
-    return out
+    nodes, shape = result.nodes, (result.record_indices.size, grid.points)
+    codes = nodes + np.arange(shape[0]) * grid.points   # slice * M + node
+    counts = np.bincount(codes.reshape(-1), minlength=shape[0] * grid.points)
+    return counts.reshape(shape) / (nodes.shape[0] * nodes.shape[1])
 
 
 def write_snapshots_jsonl(result: EnsembleResult, file) -> None:

@@ -84,9 +84,6 @@ class Tridiagonal:
         out[1:] += self.off * v[:-1]
         return out
 
-    def shifted(self, delta: float) -> "Tridiagonal":
-        return Tridiagonal(self.diag + delta, self.off.copy())
-
 
 def build_hamiltonian(v: SitePotential, grid: SpaceGrid, radial: bool = False) -> Tridiagonal:
     """Discretize -1/2 d^2/dx^2 + V on the grid (second-order stencil).
@@ -143,7 +140,8 @@ def _solve_bottom(op: Tridiagonal, grid: SpaceGrid, v_grid: np.ndarray,
             f"ground state is not strictly positive at x = {grid.x[i]} "
             "(grid too coarse or box too large for this potential)")
     psi = psi / np.sqrt(np.sum(psi**2) * grid.h)
-    return GroundState(grid, energy, psi, op.shifted(-energy), v_grid, radial)
+    return GroundState(grid, energy, psi, Tridiagonal(op.diag - energy, op.off.copy()),
+                       v_grid, radial)
 
 
 def ground_state(v: SitePotential, grid: SpaceGrid) -> GroundState:
@@ -362,8 +360,6 @@ class HeatKernel:
 
     def at(self, dt: float) -> np.ndarray:
         """Kernel matrix for an arbitrary positive time, built like `matrix`."""
-        if dt <= 0:
-            raise ValueError("kernel time must be positive")
         return _semigroup_matrix(self.operator, dt)
 
     def pin_columns(self, pin: int, count: int) -> np.ndarray:
@@ -381,8 +377,6 @@ class HeatKernel:
 
 def heat_kernel(gs: GroundState, dt: float) -> HeatKernel:
     """One-step kernel exp(-dt (H - E0)) of the shifted operator."""
-    if dt <= 0:
-        raise ValueError("heat kernel needs dt > 0")
     return HeatKernel(gs.grid, dt, _semigroup_matrix(gs.operator, dt), gs.operator)
 
 

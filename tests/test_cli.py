@@ -446,16 +446,18 @@ def readme_examples():
 
 
 README_EXAMPLES = readme_examples()
+# the first example of a command is named by the command, a later one also by its position
+README_IDS = [command if [c for c, _ in README_EXAMPLES].index(command) == i
+              else f"{command}-{i + 1}" for i, (command, _) in enumerate(README_EXAMPLES)]
 
 
 def test_readme_lists_three_examples():
     # a README edit the parsing misses fails here, not by running nothing
     assert [command for command, _ in README_EXAMPLES] == [
-        "solve-ground-state", "oracle-compare", "diagnose"]
+        "solve-ground-state", "oracle-compare", "diagnose", "diagnose"]
 
 
-@pytest.mark.parametrize("command, text", README_EXAMPLES,
-                         ids=[command for command, _ in README_EXAMPLES])
+@pytest.mark.parametrize("command, text", README_EXAMPLES, ids=README_IDS)
 def test_readme_example_passes_its_own_strict(tmp_path, command, text):
     config = tmp_path / "cfg.json"
     config.write_text(text)

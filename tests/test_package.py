@@ -64,7 +64,8 @@ def _names_in(nodes):
     """The bare names the nodes read, and their attribute names with a leading dot."""
     return {n.id if isinstance(n, ast.Name) else "." + n.attr
             for node in nodes for n in ast.walk(node)
-            if isinstance(n, (ast.Name, ast.Attribute))}
+            if isinstance(n, ast.Attribute)
+            or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
 
 
 def _is_reached(key, live, used):
@@ -75,13 +76,17 @@ def _is_reached(key, live, used):
     return cls in live and (dunder or "." + member in used)
 
 
-def test_every_definition_is_reached_from_a_command_or_the_benchmark():
-    # live roots: the cli entry point, every module's top-level statements
-    # outside its definitions, everything perfbench/ uses and the test
-    # references; a definition is live once live code names it, and a
-    # method or property once its class is live and live code reads the
-    # member as an attribute (any attribute of that name counts, a bare name
-    # does not; dunders always do)
+def _live_reads():
+    """The package's definitions, the live ones among them, and every name
+    that live code reads.
+
+    Live roots: the cli entry point, every module's top-level statements
+    outside its definitions, everything perfbench/ uses and the test
+    references.  A definition is live once live code names it, and a method
+    or property once its class is live and live code reads the member as an
+    attribute (any attribute of that name counts, a bare name does not;
+    dunders always do).
+    """
     package = Path(pathgibbs.__file__).parent
     definitions = {}
     used = {"main"} | {"".join(key.rpartition(".")[1:]) for key in TEST_REFERENCES}
@@ -99,8 +104,29 @@ def test_every_definition_is_reached_from_a_command_or_the_benchmark():
                       if _is_reached(key, live, used)]:
         live.update(reached)
         used |= _names_in(part for key in reached for part in _own_parts(definitions[key]))
+    return definitions, live, used
+
+
+def test_every_definition_is_reached_from_a_command_or_the_benchmark():
+    definitions, live, _ = _live_reads()
     assert sorted(definitions.keys() - live) == []
     assert sorted(set(TEST_REFERENCES) - set(definitions)) == []
+
+
+def test_every_module_constant_is_read_by_live_code():
+    # a top-level assigned name counts as read when live code names it, bare
+    # or as an attribute; assigning it does not count
+    _, _, used = _live_reads()
+    unread = []
+    for path in sorted(Path(pathgibbs.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            unread += [f"{path.stem}.{n.id}" for target in targets for n in ast.walk(target)
+                       if isinstance(n, ast.Name) and not {n.id, "." + n.id} & used]
+    assert unread == []
 
 
 # Parameters with defaults that no command, perfbench workload or other

@@ -99,6 +99,14 @@ def test_kernel_invariants(harmonic_gs, harmonic_kernel):
     assert np.max(np.abs(K @ harmonic_gs.psi - harmonic_gs.psi)) <= 1e-8
 
 
+def test_kernel_time_must_be_positive(harmonic_gs, harmonic_kernel):
+    # one rule and one message, whichever entry point builds the kernel
+    for build in (lambda: heat_kernel(harmonic_gs, 0.0), lambda: heat_kernel(harmonic_gs, -0.5),
+                  lambda: harmonic_kernel.at(0.0)):
+        with pytest.raises(ValueError, match="heat kernel needs a positive time"):
+            build()
+
+
 def test_chapman_kolmogorov(harmonic_gs, harmonic_kernel):
     K2 = heat_kernel(harmonic_gs, 0.2)
     assert np.max(np.abs(harmonic_kernel.matrix @ harmonic_kernel.matrix - K2.matrix)) <= 1e-8
